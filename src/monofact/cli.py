@@ -10,6 +10,7 @@ from typing import IO, Sequence
 
 from .catalog import CATALOG, catalog_monoid
 from .core import (
+    _MONOID_ORDER_LIMIT,
     FiniteMonoid,
     MonoidError,
     SubMonoid,
@@ -311,7 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the structural check suite")
     p.add_argument("--max-size", dest="max_size", type=int, default=2, metavar="N",
-                   help="generate all monoids up to this order (default 2, max 4)")
+                   choices=range(1, _MONOID_ORDER_LIMIT + 1),
+                   help="generate all monoids up to this order "
+                   f"(default 2, 1..{_MONOID_ORDER_LIMIT})")
     p.add_argument("--catalog", action="store_true", help="include the built-in catalog")
     p.set_defaults(func=_cmd_verify)
 

@@ -85,13 +85,14 @@ class FiniteMonoid:
             if len(row) != n:
                 raise IndexOutOfRange(f"table is not {n}x{n}")
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                # type() rather than isinstance(): bool is an int subclass
+                if type(v) is not int or not 0 <= v < n:
                     raise IndexOutOfRange(f"table entry {v!r} not in 0..{n - 1}")
         witness = _associativity_witness(table)
         if witness is not None:
             raise NotAssociative(*witness)
         e = self.identity
-        if not isinstance(e, int) or not 0 <= e < n:
+        if type(e) is not int or not 0 <= e < n:
             raise NoIdentity(f"identity index {e!r} out of range")
         if any(table[e][x] != x or table[x][e] != x for x in range(n)):
             raise NoIdentity(f"element {e} is not a two-sided identity")
@@ -107,6 +108,15 @@ class FiniteMonoid:
 
     def elements(self) -> range:
         return range(len(self.table))
+
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        return tuple(range(len(self.table)))
+
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """The identity position table, shared by every map out of this monoid."""
+        return {x: x for x in range(len(self.table))}
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -203,9 +213,7 @@ def carrier_monoid(c: Carrier) -> FiniteMonoid:
 
 
 def carrier_elements(c: Carrier) -> tuple[int, ...]:
-    if isinstance(c, SubMonoid):
-        return c.members
-    return tuple(range(c.size))
+    return c.members
 
 
 def carrier_identity(c: Carrier) -> int:
@@ -217,7 +225,8 @@ class ElementMap:
     """A total map between carriers, stored as a value table.
 
     ``values[i]`` is the image of the ``i``-th domain element; images are
-    expressed in the codomain's ambient index space.
+    expressed in the codomain's ambient index space.  The position table
+    is the domain's own, so building a map allocates no lookup structure.
     """
 
     domain: Carrier
@@ -227,17 +236,14 @@ class ElementMap:
     def __post_init__(self):
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
-        dom = carrier_elements(self.domain)
-        if len(values) != len(dom):
-            raise MonoidError(f"expected {len(dom)} values, got {len(values)}")
-        target = frozenset(carrier_elements(self.codomain))
+        positions = self.domain.positions
+        if len(values) != len(positions):
+            raise MonoidError(f"expected {len(positions)} values, got {len(values)}")
+        target = self.codomain.positions
         for v in values:
             if v not in target:
                 raise MonoidError(f"image {v} is not a codomain element")
-
-    @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {x: i for i, x in enumerate(carrier_elements(self.domain))}
+        object.__setattr__(self, "_positions", positions)
 
     def __call__(self, x: int) -> int:
         return self.values[self._positions[x]]

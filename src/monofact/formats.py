@@ -40,9 +40,10 @@ def parse_document(text: str) -> MonoidDocument:
         if key not in raw:
             raise ParseError(f"missing required field {key!r}")
     size, identity, table = raw["size"], raw["identity"], raw["table"]
-    if not isinstance(size, int) or size < 1:
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    if type(size) is not int or size < 1:
         raise ParseError("'size' must be a positive integer")
-    if not isinstance(identity, int):
+    if type(identity) is not int:
         raise ParseError("'identity' must be an integer index")
     if not isinstance(table, list) or len(table) != size or any(
         not isinstance(row, list) or len(row) != size for row in table

@@ -10,7 +10,7 @@ unit-valued homomorphisms, and the conical uniqueness bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .core import (
     Carrier,
@@ -28,9 +28,9 @@ from .core import (
     opposite,
     units,
 )
-from .descent import CohomologyClasses
+from .descent import CohomologyClasses, _orbit_classes
 from .factorization import Factorization, fac_over, try_factorization
-from .search import UnionFind, search_assignments
+from .search import search_assignments
 
 
 class AxiomViolation(MonoidError):
@@ -78,7 +78,7 @@ class MonoidAction:
             raise ActionMismatch("action table has the wrong shape")
         for row in star:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < A.size:
+                if type(v) is not int or not 0 <= v < A.size:
                     raise ActionMismatch(f"action value {v!r} outside the acted monoid")
         for a in A.elements():
             if star[B.identity][a] != a:
@@ -281,32 +281,30 @@ def z1(act: MonoidAction, unit_valued: bool = False) -> list[Cocycle1]:
     ]
 
 
-def _unit_conjugacy_classes(
+Values = tuple[int, ...]
+
+
+def _unit_orbit_classes(
     objects: Sequence,
     unit_members: Sequence[int],
-    related: "callable",
+    move: Callable[[int, Values], Values],
     base_index: int | None,
 ) -> CohomologyClasses:
-    """Pairwise witness scan: related(i, j, u) tests whether u carries i to j."""
-    k = len(objects)
-    dsu = UnionFind(k)
-    witnesses = []
-    for i in range(k):
-        for j in range(k):
-            for u in unit_members:
-                if related(i, j, u):
-                    witnesses.append((i, u, j))
-                    dsu.union(i, j)
-                    break
-    groups = dsu.groups()
-    class_of = [0] * k
-    for c, grp in enumerate(groups):
-        for i in grp:
-            class_of[i] = c
-    representatives = tuple(objects[grp[0]] for grp in groups)
+    """Orbits of a unit-group action on maps, keyed by their value tuples.
+
+    ``move(u, values)`` is the value tuple of the object that the unit u
+    carries the given one to; the witnesses are these orbit morphisms.
+    """
+    class_of, _, witnesses = _orbit_classes(
+        [obj.values for obj in objects], unit_members, move
+    )
+    first: dict[int, int] = {}
+    for i, c in enumerate(class_of):
+        first.setdefault(c, i)
+    representatives = tuple(objects[i] for i in first.values())
     base_class = class_of[base_index] if base_index is not None else None
     return CohomologyClasses(
-        tuple(objects), tuple(class_of), representatives, tuple(witnesses), base_class
+        tuple(objects), class_of, representatives, witnesses, base_class
     )
 
 
@@ -320,16 +318,16 @@ def h1(act: MonoidAction, unit_valued: bool = False) -> CohomologyClasses:
     A, B = act.acted, act.actor
     atab, star = A.table, act.star
     unit_members = units(A).members
+    inverse = {a0: inverse_in(A, a0) for a0 in unit_members}
     zero_values = (A.identity,) * B.size
     base_index = next(i for i, c in enumerate(cocycles) if c.values == zero_values)
 
-    def related(i: int, j: int, a0: int) -> bool:
-        ci, cj = cocycles[i], cocycles[j]
-        return all(
-            atab[ci(b)][star[b][a0]] == atab[a0][cj(b)] for b in B.elements()
-        )
+    def move(a0: int, values: Values) -> Values:
+        # solve chi(b) * (b . a0) = a0 * chi'(b) for chi'
+        inv = inverse[a0]
+        return tuple(atab[inv][atab[v][star[b][a0]]] for b, v in enumerate(values))
 
-    return _unit_conjugacy_classes(cocycles, unit_members, related, base_index)
+    return _unit_orbit_classes(cocycles, unit_members, move, base_index)
 
 
 @dataclass(frozen=True)
@@ -399,19 +397,16 @@ def sections(sd: SemidirectProduct) -> SectionsReport:
 
     unit_members = units(A).members
     jA = sd.embed_a
+    embedded_inverse = {a0: jA(inverse_in(A, a0)) for a0 in unit_members}
     zero_section = section_of_cocycle[
         next(i for i, c in enumerate(cocycles) if c.values == (A.identity,) * nb)
     ]
 
-    def related(i: int, j: int, a0: int) -> bool:
-        u = jA(a0)
-        u_inv = jA(inverse_in(A, a0))
-        si, sj = secs[i], secs[j]
-        return all(
-            ptab[ptab[u][si(b)]][u_inv] == sj(b) for b in B.elements()
-        )
+    def conjugate(a0: int, values: Values) -> Values:
+        u, u_inv = jA(a0), embedded_inverse[a0]
+        return tuple(ptab[ptab[u][v]][u_inv] for v in values)
 
-    classes = _unit_conjugacy_classes(secs, unit_members, related, zero_section)
+    classes = _unit_orbit_classes(secs, unit_members, conjugate, zero_section)
     return SectionsReport(secs, classes, cocycles, section_of_cocycle, cocycle_of_section)
 
 
@@ -674,15 +669,14 @@ def inner_action_and_convolution(
 
     cocycle_classes = h1(act, unit_valued=False)
     unit_members = units(A).members
+    inverse = {a0: inverse_in(A, a0) for a0 in unit_members}
 
-    def hom_related(i: int, j: int, a0: int) -> bool:
-        inv = inverse_in(A, a0)
-        return all(
-            atab[atab[a0][homs[i](b)]][inv] == homs[j](b) for b in B.elements()
-        )
+    def conjugate(a0: int, values: Values) -> Values:
+        inv = inverse[a0]
+        return tuple(atab[atab[a0][v]][inv] for v in values)
 
     kappa_pos = hom_index[kappa.values]
-    hom_classes = _unit_conjugacy_classes(homs, unit_members, hom_related, kappa_pos)
+    hom_classes = _unit_orbit_classes(homs, unit_members, conjugate, kappa_pos)
 
     induced: dict[int, int] = {}
     induced_ok = True

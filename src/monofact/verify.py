@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .catalog import CATALOG
@@ -19,6 +19,7 @@ from .core import (
     ElementMap,
     FiniteMonoid,
     MonoidError,
+    SizeBoundExceeded,
     SubMonoid,
     enumerate_homs,
     enumerate_monoids,
@@ -50,7 +51,9 @@ from .factorization import (
     verify_bicross,
 )
 from .semidirect import (
+    Cocycle1,
     MonoidAction,
+    SemidirectProduct,
     action_from_hom,
     conical_check,
     factorization_normality_equivalences,
@@ -643,116 +646,174 @@ def _cocycle_of(fac: Factorization) -> tuple[int, ...]:
     return fac.to_first.values
 
 
-def _check_semidirect_construction(actions: list[tuple[str, MonoidAction]]) -> Outcome:
-    count = 0
-    for desc, act in actions:
-        count += 1
-        sd = semidirect(act.acted, act, act.actor)  # construction re-validates the table
-        if not sd.proj_b.is_homomorphism():
-            return count, f"{desc}: projection onto the actor is not a homomorphism"
-        fac = sd.canonical_factorization()
-        if fac.first.members != sd.first_image().members:
-            return count, f"{desc}: canonical factorization mis-built"
-        h0(act)  # fixed points must form a submonoid; construction validates
-    return count, None
+class _ActionObjects:
+    """One action's shared battery objects, each built at most once, on first use.
+
+    A construction that raises is not cached, so every check that needs
+    the object meets the same error, as if it had built the object itself.
+    """
+
+    def __init__(self, desc: str, act: MonoidAction):
+        self.desc = desc
+        self.act = act
+
+    @cached_property
+    def sd(self) -> SemidirectProduct:
+        return semidirect(self.act.acted, self.act, self.act.actor)  # validates the table
+
+    @cached_property
+    def first_image(self) -> SubMonoid:
+        return self.sd.first_image()
+
+    @cached_property
+    def unit_cocycles(self) -> list[Cocycle1]:
+        return z1(self.act, unit_valued=True)
+
+    @cached_property
+    def partners(self) -> list[SubMonoid]:
+        # not the cached _fac_over: it would keep every product monoid alive
+        return fac_over(self.sd.product, self.first_image)
 
 
-def _check_sections_bijection(actions: list[tuple[str, MonoidAction]]) -> Outcome:
-    count = 0
-    for desc, act in actions:
-        count += 1
-        sd = semidirect(act.acted, act, act.actor)
-        report = sections(sd)
-        if len(report.sections) != len(report.cocycles):
-            return count, f"{desc}: {len(report.sections)} sections vs {len(report.cocycles)} cocycles"
-        for i in range(len(report.cocycles)):
-            if report.cocycle_of_section[report.section_of_cocycle[i]] != i:
-                return count, f"{desc}: correspondences are not mutually inverse"
-        for j in range(len(report.sections)):
-            if report.section_of_cocycle[report.cocycle_of_section[j]] != j:
-                return count, f"{desc}: correspondences are not mutually inverse"
-        classes = h1(act)
-        if classes.class_count != report.classes.class_count:
-            return count, f"{desc}: class counts differ"
-        transported = {}
-        for i, c_class in enumerate(classes.class_of):
-            s_class = report.classes.class_of[report.section_of_cocycle[i]]
-            if transported.setdefault(c_class, s_class) != s_class:
-                return count, f"{desc}: cocycle classes do not match section classes"
-        if len(set(transported.values())) != report.classes.class_count:
-            return count, f"{desc}: class correspondence not bijective"
-    return count, None
+# per-action battery checks; each returns a counterexample or None
 
 
-def _check_unit_z1_second_factors(actions: list[tuple[str, MonoidAction]]) -> Outcome:
-    count = 0
-    for desc, act in actions:
-        count += 1
-        sd = semidirect(act.acted, act, act.actor)
-        unit_cocycles = z1(act, unit_valued=True)
-        images = [fac_from_z1(sd, chi).members for chi in unit_cocycles]
-        partners = [B.members for B in _fac_over(sd.product, sd.first_image())]
-        if sorted(images) != sorted(partners) or len(set(images)) != len(images):
-            return count, f"{desc}: graphs {sorted(images)} vs partners {sorted(partners)}"
-        zero = (act.acted.identity,) * act.actor.size
-        zero_image = next(
-            img for chi, img in zip(unit_cocycles, images) if chi.values == zero
+def _semidirect_construction(ob: _ActionObjects) -> str | None:
+    desc, act, sd = ob.desc, ob.act, ob.sd
+    if not sd.proj_b.is_homomorphism():
+        return f"{desc}: projection onto the actor is not a homomorphism"
+    fac = sd.canonical_factorization()
+    if fac.first.members != ob.first_image.members:
+        return f"{desc}: canonical factorization mis-built"
+    h0(act)  # fixed points must form a submonoid; construction validates
+    return None
+
+
+def _sections_bijection(ob: _ActionObjects) -> str | None:
+    desc = ob.desc
+    report = sections(ob.sd)
+    if len(report.sections) != len(report.cocycles):
+        return f"{desc}: {len(report.sections)} sections vs {len(report.cocycles)} cocycles"
+    for i in range(len(report.cocycles)):
+        if report.cocycle_of_section[report.section_of_cocycle[i]] != i:
+            return f"{desc}: correspondences are not mutually inverse"
+    for j in range(len(report.sections)):
+        if report.section_of_cocycle[report.cocycle_of_section[j]] != j:
+            return f"{desc}: correspondences are not mutually inverse"
+    classes = h1(ob.act)
+    if classes.class_count != report.classes.class_count:
+        return f"{desc}: class counts differ"
+    transported = {}
+    for i, c_class in enumerate(classes.class_of):
+        s_class = report.classes.class_of[report.section_of_cocycle[i]]
+        if transported.setdefault(c_class, s_class) != s_class:
+            return f"{desc}: cocycle classes do not match section classes"
+    if len(set(transported.values())) != report.classes.class_count:
+        return f"{desc}: class correspondence not bijective"
+    return None
+
+
+def _unit_z1_second_factors(ob: _ActionObjects) -> str | None:
+    desc, act, sd = ob.desc, ob.act, ob.sd
+    unit_cocycles = ob.unit_cocycles
+    images = [fac_from_z1(sd, chi).members for chi in unit_cocycles]
+    partners = [B.members for B in ob.partners]
+    if sorted(images) != sorted(partners) or len(set(images)) != len(images):
+        return f"{desc}: graphs {sorted(images)} vs partners {sorted(partners)}"
+    zero = (act.acted.identity,) * act.actor.size
+    zero_image = next(
+        img for chi, img in zip(unit_cocycles, images) if chi.values == zero
+    )
+    if zero_image != sd.second_image().members:
+        return f"{desc}: zero cocycle does not map to the canonical factor"
+    # the induced map on the product is a unit-valued left descent cocycle
+    A_img = ob.first_image
+    atab = act.acted.table
+    chi0 = unit_cocycles[0]
+    values = []
+    for x in sd.product.elements():
+        a, b = sd.parts(x)
+        values.append(
+            sd.pair_index(atab[a][inverse_in(act.acted, chi0(b))], act.actor.identity)
         )
-        if zero_image != sd.second_image().members:
-            return count, f"{desc}: zero cocycle does not map to the canonical factor"
-        # the induced map on the product is a unit-valued left descent cocycle
-        A_img = sd.first_image()
-        atab = act.acted.table
-        chi0 = unit_cocycles[0]
-        values = []
-        for x in sd.product.elements():
-            a, b = sd.parts(x)
-            values.append(
-                sd.pair_index(atab[a][inverse_in(act.acted, chi0(b))], act.actor.identity)
-            )
-        induced = ElementMap(sd.product, A_img, tuple(values))
-        ok, violation = is_descent_cocycle(sd.product, A_img, induced, "left")
-        if not ok:
-            return count, f"{desc}: induced map is not a descent cocycle ({violation})"
-        unit_imgs = units(A_img).member_set
-        if any(induced(x) not in unit_imgs for x in sd.second_image().members):
-            return count, f"{desc}: induced map is not unit-valued on the second factor"
-    return count, None
+    induced = ElementMap(sd.product, A_img, tuple(values))
+    ok, violation = is_descent_cocycle(sd.product, A_img, induced, "left")
+    if not ok:
+        return f"{desc}: induced map is not a descent cocycle ({violation})"
+    unit_imgs = units(A_img).member_set
+    if any(induced(x) not in unit_imgs for x in sd.second_image().members):
+        return f"{desc}: induced map is not unit-valued on the second factor"
+    return None
 
 
-def _check_h1_component_count(actions: list[tuple[str, MonoidAction]]) -> Outcome:
-    count = 0
-    for desc, act in actions:
-        count += 1
-        sd = semidirect(act.acted, act, act.actor)
-        unit_cocycles = z1(act, unit_valued=True)
-        classes = h1(act, unit_valued=True)
-        partners = list(_fac_over(sd.product, sd.first_image()))
-        acting = units(sd.first_image())
-        groupoid = groupoid_components(
-            partners,
-            acting,
-            lambda a0, B: conjugate_second_factor(a0, B),
+def _h1_component_count(ob: _ActionObjects) -> str | None:
+    desc, sd = ob.desc, ob.sd
+    classes = h1(ob.act, unit_valued=True)
+    partners = ob.partners
+    groupoid = groupoid_components(
+        partners,
+        units(ob.first_image),
+        lambda a0, B: conjugate_second_factor(a0, B),
+    )
+    if classes.class_count != len(groupoid.components):
+        return (
+            f"{desc}: {classes.class_count} cohomology classes vs "
+            f"{len(groupoid.components)} components"
         )
-        if classes.class_count != len(groupoid.components):
-            return count, (
-                f"{desc}: {classes.class_count} cohomology classes vs "
-                f"{len(groupoid.components)} components"
-            )
-        partner_index = {B.members: i for i, B in enumerate(partners)}
-        component_of = {}
-        for c, comp in enumerate(groupoid.components):
-            for i in comp:
-                component_of[i] = c
-        transported = {}
-        for i, chi in enumerate(unit_cocycles):
-            image = component_of[partner_index[fac_from_z1(sd, chi).members]]
-            if transported.setdefault(classes.class_of[i], image) != image:
-                return count, f"{desc}: class map does not commute with the kernel map"
-        return_ok = len(set(transported.values())) == len(groupoid.components)
-        if not return_ok:
-            return count, f"{desc}: class map not bijective onto components"
-    return count, None
+    partner_index = {B.members: i for i, B in enumerate(partners)}
+    component_of = {}
+    for c, comp in enumerate(groupoid.components):
+        for i in comp:
+            component_of[i] = c
+    transported = {}
+    for i, chi in enumerate(ob.unit_cocycles):
+        image = component_of[partner_index[fac_from_z1(sd, chi).members]]
+        if transported.setdefault(classes.class_of[i], image) != image:
+            return f"{desc}: class map does not commute with the kernel map"
+    if len(set(transported.values())) != len(groupoid.components):
+        return f"{desc}: class map not bijective onto components"
+    return None
+
+
+_BATTERY: tuple[tuple[str, Callable[[_ActionObjects], "str | None"]], ...] = (
+    ("semidirect-construction", _semidirect_construction),
+    ("sections-bijection", _sections_bijection),
+    ("unit-z1-second-factors", _unit_z1_second_factors),
+    ("h1-component-count", _h1_component_count),
+)
+
+
+def _check_action_battery(actions: list[tuple[str, MonoidAction]]) -> list[CheckResult]:
+    """The four action-battery checks in one pass over the actions.
+
+    Each action's product, unit-valued cocycles and second factors are
+    built once and shared, then dropped before the next action.  Every
+    check keeps its own instance count, stops at its first
+    counterexample, and on a MonoidError reports (0, FAIL) alone.
+    """
+    counts = dict.fromkeys((check_id for check_id, _ in _BATTERY), 0)
+    stopped: dict[str, Outcome] = {}
+    for desc, act in actions:
+        running = [(i, check) for i, check in _BATTERY if i not in stopped]
+        if not running:
+            break
+        objects = _ActionObjects(desc, act)
+        for check_id, check in running:
+            counts[check_id] += 1
+            try:
+                counterexample = check(objects)
+            except MonoidError as exc:
+                stopped[check_id] = (0, str(exc))
+            else:
+                if counterexample is not None:
+                    stopped[check_id] = (counts[check_id], counterexample)
+    results = []
+    for check_id, _ in _BATTERY:
+        instances, counterexample = stopped.get(check_id, (counts[check_id], None))
+        results.append(
+            CheckResult(check_id, instances, counterexample is None, counterexample)
+        )
+    return results
 
 
 def _check_inner_convolution(pop: list[Named]) -> tuple[Outcome, Outcome]:
@@ -821,6 +882,8 @@ def _check_restricted_cohomology(pop: list[Named]) -> Outcome:
 
 def verify_suite(max_size: int, catalog: bool = True) -> VerifyReport:
     """Run every structural check over the catalog and generated populations."""
+    if max_size < 1:
+        raise SizeBoundExceeded("the population needs a size bound of at least 1")
     pop = _population(max_size, catalog)
     description = f"generated <= {max_size}" + (" + catalog" if catalog else "")
     actions = _action_population(pop)
@@ -855,10 +918,7 @@ def verify_suite(max_size: int, catalog: bool = True) -> VerifyReport:
     run("group-factor-normality", lambda: _check_group_factor_normality(pop))
     run("split-epi-translation", lambda: _check_split_epi_translation(pop))
     run("three-way-correspondence", lambda: _check_three_way_correspondence(pop))
-    run("semidirect-construction", lambda: _check_semidirect_construction(actions))
-    run("sections-bijection", lambda: _check_sections_bijection(actions))
-    run("unit-z1-second-factors", lambda: _check_unit_z1_second_factors(actions))
-    run("h1-component-count", lambda: _check_h1_component_count(actions))
+    results.extend(_check_action_battery(actions))
     try:
         conv, conv_classes = _check_inner_convolution(pop)
         results.append(

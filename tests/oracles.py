@@ -143,3 +143,21 @@ def monoid_tables_with_fixed_identity(n: int) -> list[tuple[tuple[int, ...], ...
         if associativity_holds(table):
             out.append(tuple(map(tuple, table)))
     return out
+
+
+def unit_conjugacy_classes(count: int, unit_members, related, base_index):
+    """Pairwise scan: ``related(i, j, u)`` tests whether the unit u carries i to j.
+
+    Returns ``(class_of, class_count, base_class)`` with classes numbered
+    by least member, merging labels directly instead of orbit-walking.
+    """
+    label = list(range(count))  # each label is the least index of its class
+    for i in range(count):
+        for j in range(count):
+            if any(related(i, j, u) for u in unit_members):
+                low, high = sorted((label[i], label[j]))
+                label = [low if x == high else x for x in label]
+    numbering: dict[int, int] = {}
+    class_of = tuple(numbering.setdefault(x, len(numbering)) for x in label)
+    base_class = class_of[base_index] if base_index is not None else None
+    return class_of, len(numbering), base_class

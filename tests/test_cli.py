@@ -149,6 +149,12 @@ class TestVerifyCommand:
         code, out, _ = run("verify", "--max-size", "1", "--catalog")
         assert code == 0 and "catalog" in out.splitlines()[0]
 
+    @pytest.mark.parametrize("bound", ["0", "-1", "5"])
+    def test_out_of_range_max_size_is_usage_error(self, bound):
+        code, out, err = run("verify", "--max-size", bound)
+        assert code == 2
+        assert out == "" and "--max-size" in err
+
 
 class TestWitnessCommand:
     def test_default(self):
@@ -182,6 +188,12 @@ class TestExitCodes:
     def test_missing_file(self):
         code, _, err = run("info", "--in", "does-not-exist.json")
         assert code == 3
+
+    def test_boolean_document_is_validation_error(self, tmp_path):
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"size": true, "identity": false, "table": [[false]]}')
+        code, out, err = run("info", "--in", str(bad))
+        assert code == 3 and out == "" and "error" in err
 
     def test_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"

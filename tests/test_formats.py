@@ -3,7 +3,7 @@ import json
 import pytest
 
 from monofact.catalog import CATALOG
-from monofact.core import IndexOutOfRange, NoIdentity, NotAssociative
+from monofact.core import FiniteMonoid, IndexOutOfRange, NoIdentity, NotAssociative
 from monofact.formats import (
     MonoidDocument,
     ParseError,
@@ -14,7 +14,7 @@ from monofact.formats import (
     parse_document,
     parse_monoid,
 )
-from monofact.semidirect import AxiomViolation, validate_action
+from monofact.semidirect import ActionMismatch, AxiomViolation, validate_action
 
 INVERSION = validate_action(CATALOG["c2"], CATALOG["c3"], [[0, 1, 2], [0, 2, 1]])
 
@@ -54,6 +54,28 @@ class TestParse:
     def test_shape_mismatch(self):
         with pytest.raises(ParseError):
             parse_monoid('{"size": 2, "identity": 0, "table": [[0, 1]]}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"size": true, "identity": false, "table": [[false]]}',
+            '{"size": true, "identity": 0, "table": [[0]]}',
+            '{"size": 1, "identity": false, "table": [[0]]}',
+        ],
+    )
+    def test_boolean_size_or_identity_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_monoid(text)
+
+    def test_boolean_table_entry_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            parse_monoid('{"size": 2, "identity": 0, "table": [[0, true], [true, 0]]}')
+
+    def test_boolean_table_entry_rejected_by_constructor(self):
+        with pytest.raises(IndexOutOfRange):
+            FiniteMonoid(((False,),), 0)
+        with pytest.raises(NoIdentity):
+            FiniteMonoid(((0,),), False)
 
     def test_labels_checked(self):
         with pytest.raises(ParseError):
@@ -116,6 +138,14 @@ class TestActionFiles:
         with pytest.raises(AxiomViolation):
             parse_action(
                 '{"star": [[0, 1, 2], [1, 1, 1]]}',
+                actor=CATALOG["c2"],
+                acted=CATALOG["c3"],
+            )
+
+    def test_boolean_star_entry_rejected(self):
+        with pytest.raises(ActionMismatch):
+            parse_action(
+                '{"star": [[0, 1, 2], [false, 2, 1]]}',
                 actor=CATALOG["c2"],
                 acted=CATALOG["c3"],
             )

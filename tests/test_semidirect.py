@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from monofact.catalog import CATALOG
+from monofact import verify
 from monofact.core import (
     ElementMap,
     SubMonoid,
@@ -10,6 +11,7 @@ from monofact.core import (
     endomorphism_monoid,
     find_isomorphism,
     identity_map,
+    inverse_in,
     units,
     zero_map,
 )
@@ -197,6 +199,111 @@ class TestH1:
                 atab[ci(b)][star[b][a0]] == atab[a0][cj(b)]
                 for b in act.actor.elements()
             )
+
+
+class TestClassesMatchPairwiseScan:
+    """Orbit classes agree with the pairwise relation scan on the battery population."""
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        return verify._population(3, True)
+
+    @staticmethod
+    def assert_same(classes, scan):
+        class_of, class_count, base_class = scan
+        assert classes.class_of == class_of
+        assert classes.class_count == class_count
+        assert classes.base_class == base_class
+
+    def test_h1_and_sections(self, population):
+        actions = verify._action_population(population)
+        assert len(actions) == 978  # the semidirect-construction count at order 3
+        for _, act in actions:
+            A, B = act.acted, act.actor
+            atab, star = A.table, act.star
+            unit_members = units(A).members
+            zero = (A.identity,) * B.size
+            for unit_valued in (False, True):
+                classes = h1(act, unit_valued)
+                cocycles = classes.objects
+
+                def cohomologous(i, j, a0):
+                    return all(
+                        atab[cocycles[i](b)][star[b][a0]] == atab[a0][cocycles[j](b)]
+                        for b in B.elements()
+                    )
+
+                base = next(i for i, c in enumerate(cocycles) if c.values == zero)
+                self.assert_same(
+                    classes,
+                    oracles.unit_conjugacy_classes(
+                        len(cocycles), unit_members, cohomologous, base
+                    ),
+                )
+            sd = semidirect(A, act, B)
+            report = sections(sd)
+            secs, ptab, jA = report.sections, sd.product.table, sd.embed_a
+
+            def conjugate_sections(i, j, a0):
+                u, u_inv = jA(a0), jA(inverse_in(A, a0))
+                return all(
+                    ptab[ptab[u][secs[i](b)]][u_inv] == secs[j](b) for b in B.elements()
+                )
+
+            base = report.section_of_cocycle[
+                next(i for i, c in enumerate(report.cocycles) if c.values == zero)
+            ]
+            self.assert_same(
+                report.classes,
+                oracles.unit_conjugacy_classes(
+                    len(secs), unit_members, conjugate_sections, base
+                ),
+            )
+
+    def test_hom_classes(self, population):
+        reports = 0
+        for _, A in population:
+            unit_members = units(A).members
+            atab = A.table
+            for _, B in population:
+                if B.size > verify._ACTION_ACTOR_LIMIT:
+                    continue
+                if A.size * B.size > verify._ACTION_PRODUCT_LIMIT:
+                    continue
+                for kappa in enumerate_homs(B, A):
+                    if any(v not in unit_members for v in kappa.values):
+                        continue
+                    report = inner_action_and_convolution(B, A, kappa)
+                    homs = report.homs
+
+                    def conjugate_homs(i, j, a0):
+                        inv = inverse_in(A, a0)
+                        return all(
+                            atab[atab[a0][homs[i](b)]][inv] == homs[j](b)
+                            for b in B.elements()
+                        )
+
+                    base = next(
+                        i for i, h in enumerate(homs) if h.values == kappa.values
+                    )
+                    self.assert_same(
+                        report.hom_classes,
+                        oracles.unit_conjugacy_classes(
+                            len(homs), unit_members, conjugate_homs, base
+                        ),
+                    )
+                    reports += 1
+        assert reports == 431  # the inner-convolution count at order 3
+
+    def test_section_witnesses_replay(self):
+        sd = semidirect(C3, INVERSION, C2)
+        classes = sections(sd).classes
+        ptab = sd.product.table
+        assert classes.witnesses
+        for i, a0, j in classes.witnesses:
+            u, u_inv = sd.embed_a(a0), sd.embed_a(inverse_in(C3, a0))
+            si, sj = classes.objects[i], classes.objects[j]
+            assert all(ptab[ptab[u][si(b)]][u_inv] == sj(b) for b in C2.elements())
 
 
 class TestSections:

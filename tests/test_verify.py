@@ -1,6 +1,7 @@
 import pytest
 
-from monofact.core import MonoidError
+from monofact import verify
+from monofact.core import MonoidError, SizeBoundExceeded
 from monofact.verify import verify_suite
 
 
@@ -32,3 +33,83 @@ class TestSuite:
 
         with pytest.raises(MonoidError):
             from_table([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
+
+
+class TestActionBattery:
+    """The one-pass battery keeps each check's outcome independent of the others."""
+
+    BATTERY_IDS = (
+        "semidirect-construction",
+        "sections-bijection",
+        "unit-z1-second-factors",
+        "h1-component-count",
+    )
+
+    @pytest.fixture(scope="class")
+    def actions(self):
+        return verify._action_population(verify._population(2, False))
+
+    def patched(self, monkeypatch, target, replacement):
+        battery = tuple(
+            (check_id, replacement if check_id == target else check)
+            for check_id, check in verify._BATTERY
+        )
+        monkeypatch.setattr(verify, "_BATTERY", battery)
+
+    def test_order_and_counts(self, actions):
+        results = verify._check_action_battery(actions)
+        assert tuple(r.check for r in results) == self.BATTERY_IDS
+        assert all(r.passed and r.instances == len(actions) for r in results)
+
+    def test_suite_reports_the_battery_in_place(self):
+        ids = [c.check for c in verify_suite(1, catalog=False).checks]
+        start = ids.index("semidirect-construction")
+        assert tuple(ids[start : start + 4]) == self.BATTERY_IDS
+
+    @pytest.mark.parametrize("target", BATTERY_IDS)
+    def test_counterexample_stops_only_its_check(self, monkeypatch, actions, target):
+        k = 3
+        assert len(actions) > k
+        seen = []
+
+        def fail_at_k(objects):
+            seen.append(objects.desc)
+            return f"{objects.desc}: planted" if len(seen) == k else None
+
+        self.patched(monkeypatch, target, fail_at_k)
+        results = {r.check: r for r in verify._check_action_battery(actions)}
+        failed = results.pop(target)
+        assert (failed.instances, failed.passed) == (k, False)
+        assert failed.counterexample == f"{actions[k - 1][0]}: planted"
+        assert len(seen) == k  # the check is not run past its counterexample
+        assert all(r.passed and r.instances == len(actions) for r in results.values())
+
+    @pytest.mark.parametrize("target", BATTERY_IDS)
+    def test_error_fails_only_its_check(self, monkeypatch, actions, target):
+        def broken(objects):
+            raise MonoidError("planted")
+
+        self.patched(monkeypatch, target, broken)
+        results = {r.check: r for r in verify._check_action_battery(actions)}
+        failed = results.pop(target)
+        assert (failed.instances, failed.passed, failed.counterexample) == (0, False, "planted")
+        assert all(r.passed and r.instances == len(actions) for r in results.values())
+
+    def test_shared_objects_built_once(self, monkeypatch, actions):
+        calls = []
+        real = verify.semidirect
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "semidirect", counting)
+        verify._check_action_battery(actions)
+        assert len(calls) == len(actions)
+
+
+class TestSizeBound:
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_empty_population_rejected(self, bound):
+        with pytest.raises(SizeBoundExceeded):
+            verify_suite(bound, catalog=True)
