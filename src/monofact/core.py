@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .search import search_assignments
 
@@ -155,7 +155,7 @@ class SubMonoid:
         members = tuple(self.members)
         object.__setattr__(self, "members", members)
         n = self.parent.size
-        if any(not isinstance(x, int) or not 0 <= x < n for x in members):
+        if any(type(x) is not int or not 0 <= x < n for x in members):
             raise IndexOutOfRange(f"members {members} not within 0..{n - 1}")
         if any(a >= b for a, b in zip(members, members[1:])):
             raise MonoidError("members must be strictly sorted")
@@ -241,7 +241,7 @@ class ElementMap:
             raise MonoidError(f"expected {len(positions)} values, got {len(values)}")
         target = self.codomain.positions
         for v in values:
-            if v not in target:
+            if type(v) is not int or v not in target:
                 raise MonoidError(f"image {v} is not a codomain element")
         object.__setattr__(self, "_positions", positions)
 
@@ -360,68 +360,68 @@ def submonoid_closure(M: FiniteMonoid, generators: Iterable[int]) -> SubMonoid:
     """Smallest submonoid containing the generators (and the identity)."""
     gens = list(generators)
     for g in gens:
-        if not isinstance(g, int) or not 0 <= g < M.size:
+        if type(g) is not int or not 0 <= g < M.size:
             raise IndexOutOfRange(f"generator {g!r} not in 0..{M.size - 1}")
-    table = M.table
-    closed = {M.identity}
-    closed.update(gens)
-    queue = list(closed)
-    while queue:
-        y = queue.pop()
-        for x in list(closed):
-            for p in (table[x][y], table[y][x]):
-                if p not in closed:
-                    closed.add(p)
-                    queue.append(p)
+    closed, bits = [M.identity], 1 << M.identity
+    for g in gens:
+        if not bits >> g & 1:
+            closed, bits = _grow(M.table, closed, bits, g, M.size)
     return SubMonoid(M, tuple(sorted(closed)))
 
 
-_SUBSET_SCAN_LIMIT = 20
+def _grow(table, members: list[int], bits: int, g: int, limit: int) -> tuple[list[int], int]:
+    """Close a closed set (member list and bitmask) with ``g`` added; stops past ``limit``."""
+    grown, bits, queue = members + [g], bits | 1 << g, [g]
+    while queue and len(grown) <= limit:
+        y = queue.pop()
+        row = table[y]
+        for z in grown:
+            for p in (row[z], table[z][y]):
+                if not bits >> p & 1:
+                    bits |= 1 << p
+                    grown.append(p)
+                    queue.append(p)
+    return grown, bits
+
+
 _SUBMONOID_HARD_LIMIT = 24
 
 
 def enumerate_submonoids(M: FiniteMonoid) -> list[SubMonoid]:
     """All identity-containing closed subsets, sorted by (size, members)."""
-    n = M.size
-    if n > _SUBMONOID_HARD_LIMIT:
+    if M.size > _SUBMONOID_HARD_LIMIT:
         raise SizeBoundExceeded(f"submonoid enumeration capped at order {_SUBMONOID_HARD_LIMIT}")
-    if n <= _SUBSET_SCAN_LIMIT:
-        found = _submonoids_by_subset_scan(M)
-    else:
-        found = _submonoids_by_closure_walk(M)
-    found.sort(key=lambda ms: (len(ms), ms))
+    found = sorted(_closed_subsets(M, M.size, lambda ms: True), key=lambda ms: (len(ms), ms))
     return [SubMonoid(M, ms) for ms in found]
 
 
-def _submonoids_by_subset_scan(M: FiniteMonoid) -> list[tuple[int, ...]]:
-    table = M.table
+def _closed_subsets(M: FiniteMonoid, limit: int, admit: Callable) -> list[tuple[int, ...]]:
+    """Member tuples of the submonoids of at most ``limit`` elements that ``admit`` accepts.
+
+    Grows each admitted submonoid by one generator at a time from {e}.  Every
+    submonoid T is reached through closures lying inside T, so pruning loses
+    nothing when ``admit`` holds on every submonoid of what it accepts.
+    """
     e = M.identity
-    others = [x for x in M.elements() if x != e]
-    out = []
-    for bits in range(1 << len(others)):
-        subset = [e] + [x for i, x in enumerate(others) if bits >> i & 1]
-        inside = frozenset(subset)
-        if all(table[x][y] in inside for x in subset for y in subset):
-            out.append(tuple(sorted(subset)))
-    return out
-
-
-def _submonoids_by_closure_walk(M: FiniteMonoid) -> list[tuple[int, ...]]:
-    # grow each known submonoid by one generator; every submonoid is reached
-    seed = submonoid_closure(M, ()).members
-    found = {seed}
-    frontier = [seed]
+    found = {1 << e}
+    out = [(e,)]
+    frontier = [([e], 1 << e)]
+    gens = range(M.size)
     while frontier:
         fresh = []
-        for ms in frontier:
-            for x in M.elements():
-                if x not in ms:
-                    bigger = submonoid_closure(M, ms + (x,)).members
-                    if bigger not in found:
-                        found.add(bigger)
-                        fresh.append(bigger)
+        for ms, mask in frontier:
+            for g in gens:
+                if not mask >> g & 1:
+                    grown, bits = _grow(M.table, ms, mask, g, limit)
+                    if len(grown) <= limit and bits not in found:
+                        found.add(bits)
+                        if admit(grown):
+                            fresh.append((grown, bits))
+                            out.append(tuple(sorted(grown)))
         frontier = fresh
-    return list(found)
+        # an element in no admitted submonoid yet is in none: its cyclic one failed
+        gens = sorted({g for ms in out for g in ms})
+    return out
 
 
 def is_subgroup(M: FiniteMonoid, S: SubMonoid) -> bool:

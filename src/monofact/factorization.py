@@ -7,7 +7,6 @@ inverting the multiplication map.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -16,6 +15,7 @@ from .core import (
     FiniteMonoid,
     ParentMismatch,
     SubMonoid,
+    _closed_subsets,
     enumerate_submonoids,
     zero_map,
 )
@@ -108,8 +108,8 @@ def enumerate_factorizations(M: FiniteMonoid) -> list[Factorization]:
 def fac_over(M: FiniteMonoid, A: SubMonoid) -> list[SubMonoid]:
     """All second factors pairing with the fixed first factor ``A``.
 
-    Any second factor has exactly ``|M| / |A|`` elements, so only closed
-    identity-containing subsets of that size are scanned.
+    A second factor B has ``|M| / |A|`` elements and ``A x B -> M`` is injective,
+    also on every submonoid of B; the walk prunes on both.
     """
     if A.parent != M:
         raise ParentMismatch("first factor must be a submonoid of the monoid")
@@ -117,19 +117,14 @@ def fac_over(M: FiniteMonoid, A: SubMonoid) -> list[SubMonoid]:
     if n % len(A):
         return []
     k = n // len(A)
-    e = M.identity
-    table = M.table
-    others = [x for x in range(n) if x != e]
-    out = []
-    for rest in itertools.combinations(others, k - 1):
-        subset = (e,) + rest
-        inside = frozenset(subset)
-        if all(table[x][y] in inside for x in subset for y in subset):
-            B = SubMonoid(M, tuple(sorted(subset)))
-            if try_factorization(M, A, B) is not None:
-                out.append(B)
-    out.sort(key=lambda s: s.members)
-    return out
+    rows = [M.table[a] for a in A.members]
+
+    def injective(S: list[int]) -> bool:
+        return len({row[s] for row in rows for s in S}) == len(rows) * len(S)
+
+    partners = [SubMonoid(M, ms) for ms in _closed_subsets(M, k, injective) if len(ms) == k]
+    partners.sort(key=lambda s: s.members)
+    return [B for B in partners if try_factorization(M, A, B) is not None]
 
 
 def first_factor_filter(

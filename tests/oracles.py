@@ -64,6 +64,36 @@ def submonoids_by_closure_walk(M: FiniteMonoid) -> set[tuple[int, ...]]:
     return found
 
 
+def submonoids_by_subset_scan(M: FiniteMonoid) -> list[tuple[int, ...]]:
+    """Every identity-containing subset that is closed, found by trying all 2^(n-1)."""
+    e = M.identity
+    others = [x for x in M.elements() if x != e]
+    out = []
+    for bits in range(1 << len(others)):
+        subset = [e] + [x for i, x in enumerate(others) if bits >> i & 1]
+        inside = frozenset(subset)
+        if all(M.table[x][y] in inside for x in subset for y in subset):
+            out.append(tuple(sorted(subset)))
+    return out
+
+
+def second_factors_by_subset_scan(M: FiniteMonoid, first) -> list[tuple[int, ...]]:
+    """Sorted member tuples B of every closed |M|/|A|-subset with A x B -> M bijective."""
+    n = M.size
+    if n % len(first):
+        return []
+    e = M.identity
+    others = [x for x in M.elements() if x != e]
+    out = []
+    for rest in itertools.combinations(others, n // len(first) - 1):
+        subset = (e,) + rest
+        if not all(M.table[x][y] in subset for x in subset for y in subset):
+            continue
+        if len({M.table[a][b] for a in first for b in subset}) == n:
+            out.append(tuple(sorted(subset)))
+    return sorted(out)
+
+
 def factorization_pairs(M: FiniteMonoid) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (A, B) member pairs whose product map is bijective."""
     subs = submonoids_by_closure_walk(M)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +220,18 @@ class TestDeterminism:
         first = run(*argv)
         second = run(*argv)
         assert first == second
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "monofact", "fac", "--in", "@s3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == run("fac", "--in", "@s3")[1]

@@ -169,6 +169,15 @@ class TestEnumerateSubmonoids:
             ours = {S.members for S in enumerate_submonoids(M)}
             assert ours == oracles.submonoids_by_closure_walk(M)
 
+    def test_matches_subset_scan_oracle(self):
+        # list equality: the walk must neither miss nor repeat a submonoid
+        population = [M for n in range(1, 5) for M in enumerate_monoids(n, up_to_iso=True)]
+        population += list(CATALOG.values())
+        population += [direct_product(CATALOG[x], CATALOG[x]) for x in ("v4", "c4")]
+        for M in population:
+            scan = sorted(oracles.submonoids_by_subset_scan(M), key=lambda ms: (len(ms), ms))
+            assert [S.members for S in enumerate_submonoids(M)] == scan
+
     def test_sorted_by_size_then_members(self):
         subs = enumerate_submonoids(S3)
         keys = [(len(S), S.members) for S in subs]
@@ -317,6 +326,21 @@ class TestElementMap:
         assert compose(sign, include).values == (0, 1)
 
 
+class TestBoolIndicesRejected:
+    # bool is an int subclass; True and False must not pass as element indices
+    def test_submonoid_members(self):
+        with pytest.raises(IndexOutOfRange):
+            SubMonoid(C3, (False,))
+
+    def test_closure_generators(self):
+        with pytest.raises(IndexOutOfRange):
+            submonoid_closure(C3, [True])
+
+    def test_element_map_values(self):
+        with pytest.raises(MonoidError, match="not a codomain element"):
+            ElementMap(C3, C3, (False, True, 2))
+
+
 class TestBounds:
     def test_submonoid_enumeration_hard_cap(self):
         big = direct_product(direct_product(C3, C3), C3)  # 27 elements
@@ -329,7 +353,7 @@ class TestBounds:
             assert units(u).members == u.members
 
     def test_closure_walk_regime(self):
-        # order 21 exceeds the subset-scan limit and uses the closure walk
+        # order 21, beyond a 2^(n-1) subset scan: one cyclic subgroup per divisor
         c21 = FiniteMonoid(
             tuple(tuple((a + b) % 21 for b in range(21)) for a in range(21)), 0
         )

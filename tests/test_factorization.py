@@ -3,8 +3,17 @@ import itertools
 import pytest
 
 import oracles
+from monofact import verify
 from monofact.catalog import CATALOG
-from monofact.core import ElementMap, ParentMismatch, SubMonoid, zero_map
+from monofact.core import (
+    ElementMap,
+    ParentMismatch,
+    SubMonoid,
+    direct_product,
+    enumerate_monoids,
+    enumerate_submonoids,
+    zero_map,
+)
 from monofact.factorization import (
     FactorizationFailure,
     characterize_factorization,
@@ -17,6 +26,7 @@ from monofact.factorization import (
     try_factorization,
     verify_bicross,
 )
+from monofact.semidirect import semidirect
 
 S3 = CATALOG["s3"]
 B2 = CATALOG["b2"]
@@ -122,6 +132,32 @@ class TestFacOver:
 
     def test_c4_half_has_no_partner(self):
         assert fac_over(C4, SubMonoid(C4, (0, 2))) == []
+
+
+class TestFacOverMatchesSubsetScan:
+    """fac_over against the combinations scan, as lists: no miss, no repeat, same order."""
+
+    @staticmethod
+    def assert_matches(M, A):
+        ours = [B.members for B in fac_over(M, A)]
+        assert ours == oracles.second_factors_by_subset_scan(M, A.members)
+        return bool(ours)
+
+    def test_every_first_factor(self):
+        population = [M for n in range(1, 5) for M in enumerate_monoids(n, up_to_iso=True)]
+        population += list(CATALOG.values())
+        population += [direct_product(CATALOG[x], CATALOG[x]) for x in ("v4", "c4")]
+        found = [self.assert_matches(M, A) for M in population for A in enumerate_submonoids(M)]
+        assert found.count(False) > 0 and found.count(True) > 0
+
+    def test_battery_products(self):
+        actions = verify._action_population(verify._population(3, True))
+        assert len(actions) == 978
+        found = []
+        for _, act in actions:
+            sd = semidirect(act.acted, act, act.actor)
+            found.append(self.assert_matches(sd.product, sd.first_image()))
+        assert all(found)  # the first image always has the actor's copy as a partner
 
 
 class TestFirstFactorFilter:
