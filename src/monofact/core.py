@@ -254,9 +254,15 @@ class ElementMap:
         if self(carrier_identity(self.domain)) != carrier_identity(self.codomain):
             return False
         elems = carrier_elements(self.domain)
-        return all(
-            self(dom_tab[x][y]) == cod_tab[self(x)][self(y)] for x in elems for y in elems
-        )
+        f = [0] * len(dom_tab)  # indexed by ambient element; only domain entries are read
+        for x, v in zip(elems, self.values):
+            f[x] = v
+        for x in elems:
+            row, out = dom_tab[x], cod_tab[f[x]]
+            for y in elems:
+                if f[row[y]] != out[f[y]]:
+                    return False
+        return True
 
     def __repr__(self) -> str:
         return f"ElementMap({self.values})"
@@ -307,24 +313,20 @@ class MonoidIso:
 def from_table(
     table: Sequence[Sequence[int]], labels: Sequence[str] | None = None
 ) -> FiniteMonoid:
-    """Validate a Cayley table and locate its identity."""
+    """Locate the identity of a Cayley table; ``FiniteMonoid`` validates the rest.
+
+    Raises what ``FiniteMonoid`` raises, in its order: ``IndexOutOfRange``,
+    then ``NotAssociative``, then ``NoIdentity`` when no element is one.
+    """
     rows = tuple(tuple(row) for row in table)
-    n = len(rows)
-    if n == 0:
-        raise NoIdentity("a monoid needs at least one element")
-    for row in rows:
-        if len(row) != n:
-            raise IndexOutOfRange(f"table is not {n}x{n}")
-        for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise IndexOutOfRange(f"table entry {v!r} not in 0..{n - 1}")
-    witness = _associativity_witness(rows)
-    if witness is not None:
-        raise NotAssociative(*witness)
-    for e in range(n):
-        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-            return FiniteMonoid(rows, e, tuple(labels) if labels is not None else None)
-    raise NoIdentity("no two-sided identity in the table")
+    ident = tuple(range(len(rows)))
+    # slices, not indices, so that a ragged table reaches FiniteMonoid's shape check
+    column = [(x,) for x in ident]
+    e = next(
+        (e for e in ident if rows[e] == ident and [r[e : e + 1] for r in rows] == column),
+        None,
+    )
+    return FiniteMonoid(rows, e, labels)
 
 
 def units(c: Carrier) -> SubMonoid:

@@ -110,33 +110,35 @@ def is_descent_cocycle(
 ) -> tuple[bool, Violation | None]:
     """Check the three cocycle conditions pointwise; first violation wins."""
     table = M.table
+    f = [q(m) for m in M.elements()]
     if side == "left":
         for a in A.members:
-            if q(a) != a:
+            if f[a] != a:
                 return False, ("L1", (a,))
         for a in A.members:
             row = table[a]
             for m in M.elements():
-                if q(row[m]) != row[q(m)]:
+                if f[row[m]] != row[f[m]]:
                     return False, ("L2", (a, m))
         for m1 in M.elements():
             row = table[m1]
             for m2 in M.elements():
-                if q(row[m2]) != q(row[q(m2)]):
+                if f[row[m2]] != f[row[f[m2]]]:
                     return False, ("L3", (m1, m2))
         return True, None
     if side == "right":
         for a in A.members:
-            if q(a) != a:
+            if f[a] != a:
                 return False, ("R1", (a,))
         for m in M.elements():
             row = table[m]
             for a in A.members:
-                if q(row[a]) != table[q(m)][a]:
+                if f[row[a]] != table[f[m]][a]:
                     return False, ("R2", (m, a))
         for m1 in M.elements():
+            row = table[m1]
             for m2 in M.elements():
-                if q(table[m1][m2]) != q(table[q(m1)][m2]):
+                if f[row[m2]] != f[table[f[m1]][m2]]:
                     return False, ("R3", (m1, m2))
         return True, None
     raise ValueError("side must be 'left' or 'right'")
@@ -271,16 +273,18 @@ def conjugate_second_factor(a0: int, B: SubMonoid) -> SubMonoid:
 
 
 def _orbit_classes(
-    objects: Sequence, group_members: Sequence[int], apply: Callable[[int, object], object]
+    objects: Sequence, group_members: Sequence[int], image: Callable[[int, int], object]
 ) -> tuple[tuple[int, ...], tuple, tuple[tuple[int, int, int], ...]]:
-    """Orbit partition of a verified group action, with morphism witnesses."""
+    """Orbit partition of a verified group action, with morphism witnesses.
+
+    ``image(g, i)`` is the object that g carries ``objects[i]`` to.
+    """
     index = {obj: i for i, obj in enumerate(objects)}
     dsu = UnionFind(len(objects))
     morphisms = []
     for i, obj in enumerate(objects):
         for g in group_members:
-            image = apply(g, obj)
-            j = index.get(image)
+            j = index.get(image(g, i))
             if j is None:
                 raise NotAnAction(f"action escapes the object set at ({g}, {obj!r})")
             morphisms.append((i, g, j))
@@ -315,7 +319,7 @@ def descent_cohomology(
         cocycles = enumerate_descent_cocycles(M, A, "left")
     unit_members = units(A).members
     class_of, representatives, witnesses = _orbit_classes(
-        cocycles, unit_members, star_act
+        cocycles, unit_members, lambda a0, i: star_act(a0, cocycles[i])
     )
     base_class = None
     if base_values is not None:
@@ -342,16 +346,27 @@ def groupoid_components(
         raise NotAnAction("the acting submonoid is not a group")
     e = parent.identity
     table = parent.table
-    for x in objs:
-        if action(e, x) != x:
+    images = {e: [action(e, x) for x in objs]}
+    for x, y in zip(objs, images[e]):
+        if y != x:
             raise NotAnAction(f"identity moves {x!r}")
+    for g in acting_group.members:
+        if g != e:
+            images[g] = [action(g, x) for x in objs]
+    index = {x: i for i, x in enumerate(objs)}
+    positions = {g: [index.get(y) for y in row] for g, row in images.items()}
     for g1 in acting_group.members:
+        row1 = images[g1]
         for g2 in acting_group.members:
-            g12 = table[g1][g2]
-            for x in objs:
-                if action(g12, x) != action(g1, action(g2, x)):
+            row12, row2, pos2 = images[table[g1][g2]], images[g2], positions[g2]
+            for i, x in enumerate(objs):
+                # an image outside the objects is not tabulated: act on it directly
+                j = pos2[i]
+                if row12[i] != (action(g1, row2[i]) if j is None else row1[j]):
                     raise NotAnAction(f"composition fails at ({g1}, {g2}, {x!r})")
-    class_of, _, morphisms = _orbit_classes(objs, acting_group.members, action)
+    class_of, _, morphisms = _orbit_classes(
+        objs, acting_group.members, lambda g, i: images[g][i]
+    )
     grouped: dict[int, list[int]] = {}
     for i, c in enumerate(class_of):
         grouped.setdefault(c, []).append(i)

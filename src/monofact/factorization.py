@@ -117,13 +117,16 @@ def fac_over(M: FiniteMonoid, A: SubMonoid) -> list[SubMonoid]:
     if n % len(A):
         return []
     k = n // len(A)
-    rows = [M.table[a] for a in A.members]
+    if k == n:  # A = {e}: M itself is the only n-element candidate
+        candidates = [M.members]
+    else:
+        rows = [M.table[a] for a in A.members]
 
-    def injective(S: list[int]) -> bool:
-        return len({row[s] for row in rows for s in S}) == len(rows) * len(S)
+        def injective(S: list[int]) -> bool:
+            return len({row[s] for row in rows for s in S}) == len(rows) * len(S)
 
-    partners = [SubMonoid(M, ms) for ms in _closed_subsets(M, k, injective) if len(ms) == k]
-    partners.sort(key=lambda s: s.members)
+        candidates = sorted(ms for ms in _closed_subsets(M, k, injective) if len(ms) == k)
+    partners = (SubMonoid(M, ms) for ms in candidates)
     return [B for B in partners if try_factorization(M, A, B) is not None]
 
 
@@ -163,16 +166,18 @@ def second_factor_filter(
 def _left_equivariance_ok(M: FiniteMonoid, A: SubMonoid, f: ElementMap) -> bool:
     """f(a*m) = a*f(m) for all a in A, m in M."""
     table = M.table
+    values = [f(m) for m in M.elements()]
     return all(
-        f(table[a][m]) == table[a][f(m)] for a in A.members for m in M.elements()
+        values[table[a][m]] == table[a][values[m]] for a in A.members for m in M.elements()
     )
 
 
 def _right_equivariance_ok(M: FiniteMonoid, B: SubMonoid, f: ElementMap) -> bool:
     """f(m*b) = f(m)*b for all m in M, b in B."""
     table = M.table
+    values = [f(m) for m in M.elements()]
     return all(
-        f(table[m][b]) == table[f(m)][b] for b in B.members for m in M.elements()
+        values[table[m][b]] == table[values[m]][b] for b in B.members for m in M.elements()
     )
 
 

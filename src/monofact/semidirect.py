@@ -295,8 +295,9 @@ def _unit_orbit_classes(
     ``move(u, values)`` is the value tuple of the object that the unit u
     carries the given one to; the witnesses are these orbit morphisms.
     """
+    values = [obj.values for obj in objects]
     class_of, _, witnesses = _orbit_classes(
-        [obj.values for obj in objects], unit_members, move
+        values, unit_members, lambda u, i: move(u, values[i])
     )
     first: dict[int, int] = {}
     for i, c in enumerate(class_of):
@@ -308,13 +309,22 @@ def _unit_orbit_classes(
     )
 
 
-def h1(act: MonoidAction, unit_valued: bool = False) -> CohomologyClasses:
+def h1(
+    act: MonoidAction,
+    unit_valued: bool = False,
+    cocycles: Sequence[Cocycle1] | None = None,
+) -> CohomologyClasses:
     """Cohomology classes of 1-cocycles, pointed by the class of the zero cocycle.
 
     Two cocycles are cohomologous when some unit a0 satisfies
-    ``chi(b) * (b . a0) = a0 * chi'(b)`` at every b.
+    ``chi(b) * (b . a0) = a0 * chi'(b)`` at every b.  ``cocycles`` is the
+    already enumerated ``z1(act, unit_valued)``, when the caller has it;
+    a cocycle of another action raises ActionMismatch.
     """
-    cocycles = z1(act, unit_valued)
+    if cocycles is None:
+        cocycles = z1(act, unit_valued)
+    elif any(c.action != act for c in cocycles):
+        raise ActionMismatch("cocycle belongs to a different action")
     A, B = act.acted, act.actor
     atab, star = A.table, act.star
     unit_members = units(A).members
@@ -667,7 +677,7 @@ def inner_action_and_convolution(
     zero_pos = next(i for i, c in enumerate(cocycles) if c.values == zero)
     pointed_ok = homs[convolution_of[zero_pos]].values == kappa.values
 
-    cocycle_classes = h1(act, unit_valued=False)
+    cocycle_classes = h1(act, cocycles=cocycles)
     unit_members = units(A).members
     inverse = {a0: inverse_in(A, a0) for a0 in unit_members}
 

@@ -381,10 +381,14 @@ def _check_kernel_pair_characterization(pop: list[Named]) -> Outcome:
                     (fac.to_first.values, fac.to_second.values) if fac is not None else None
                 )
                 count += 1
+                r_maps = [
+                    ElementMap(M, B, r_vals)
+                    for r_vals in itertools.product(B.members, repeat=n)
+                ]
                 for l_vals in itertools.product(A.members, repeat=n):
                     l_map = ElementMap(M, A, l_vals)
-                    for r_vals in itertools.product(B.members, repeat=n):
-                        r_map = ElementMap(M, B, r_vals)
+                    for r_map in r_maps:
+                        r_vals = r_map.values
                         accepted = verify_bicross(M, A, B, l_map, r_map)
                         should = expected == (l_vals, r_vals)
                         if accepted != should:
@@ -674,6 +678,11 @@ class _ActionObjects:
         # not the cached _fac_over: it would keep every product monoid alive
         return fac_over(self.sd.product, self.first_image)
 
+    @cached_property
+    def graphs(self) -> list[tuple[int, ...]]:
+        """Members of ``fac_from_z1`` for each unit-valued cocycle, in order."""
+        return [fac_from_z1(self.sd, chi).members for chi in self.unit_cocycles]
+
 
 # per-action battery checks; each returns a counterexample or None
 
@@ -700,7 +709,7 @@ def _sections_bijection(ob: _ActionObjects) -> str | None:
     for j in range(len(report.sections)):
         if report.section_of_cocycle[report.cocycle_of_section[j]] != j:
             return f"{desc}: correspondences are not mutually inverse"
-    classes = h1(ob.act)
+    classes = h1(ob.act, cocycles=report.cocycles)
     if classes.class_count != report.classes.class_count:
         return f"{desc}: class counts differ"
     transported = {}
@@ -715,8 +724,7 @@ def _sections_bijection(ob: _ActionObjects) -> str | None:
 
 def _unit_z1_second_factors(ob: _ActionObjects) -> str | None:
     desc, act, sd = ob.desc, ob.act, ob.sd
-    unit_cocycles = ob.unit_cocycles
-    images = [fac_from_z1(sd, chi).members for chi in unit_cocycles]
+    unit_cocycles, images = ob.unit_cocycles, ob.graphs
     partners = [B.members for B in ob.partners]
     if sorted(images) != sorted(partners) or len(set(images)) != len(images):
         return f"{desc}: graphs {sorted(images)} vs partners {sorted(partners)}"
@@ -747,8 +755,8 @@ def _unit_z1_second_factors(ob: _ActionObjects) -> str | None:
 
 
 def _h1_component_count(ob: _ActionObjects) -> str | None:
-    desc, sd = ob.desc, ob.sd
-    classes = h1(ob.act, unit_valued=True)
+    desc = ob.desc
+    classes = h1(ob.act, unit_valued=True, cocycles=ob.unit_cocycles)
     partners = ob.partners
     groupoid = groupoid_components(
         partners,
@@ -766,8 +774,8 @@ def _h1_component_count(ob: _ActionObjects) -> str | None:
         for i in comp:
             component_of[i] = c
     transported = {}
-    for i, chi in enumerate(ob.unit_cocycles):
-        image = component_of[partner_index[fac_from_z1(sd, chi).members]]
+    for i, graph in enumerate(ob.graphs):
+        image = component_of[partner_index[graph]]
         if transported.setdefault(classes.class_of[i], image) != image:
             return f"{desc}: class map does not commute with the kernel map"
     if len(set(transported.values())) != len(groupoid.components):

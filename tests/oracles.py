@@ -191,3 +191,94 @@ def unit_conjugacy_classes(count: int, unit_members, related, base_index):
     class_of = tuple(numbering.setdefault(x, len(numbering)) for x in label)
     base_class = class_of[base_index] if base_index is not None else None
     return class_of, len(numbering), base_class
+
+
+def small_maps(M: FiniteMonoid, limit: int):
+    """Every (A, values) with A a submonoid of M and values a map M -> A, |A|^|M| <= limit."""
+    for members in sorted(submonoids_by_closure_walk(M)):
+        if len(members) ** M.size <= limit:
+            A = SubMonoid(M, members)
+            for values in itertools.product(members, repeat=M.size):
+                yield A, values
+
+
+def is_homomorphism_pointwise(f) -> bool:
+    """The map law checked by calling the map at every product, one pair at a time."""
+    dom, cod = f.domain, f.codomain
+    dom_monoid = dom.parent if isinstance(dom, SubMonoid) else dom
+    cod_monoid = cod.parent if isinstance(cod, SubMonoid) else cod
+    if f(dom_monoid.identity) != cod_monoid.identity:
+        return False
+    return all(
+        f(dom_monoid.table[x][y]) == cod_monoid.table[f(x)][f(y)]
+        for x in dom.members
+        for y in dom.members
+    )
+
+
+def is_descent_cocycle_pointwise(M: FiniteMonoid, A: SubMonoid, q, side: str):
+    """The three cocycle laws checked by calling q; returns (ok, first violation)."""
+    table = M.table
+    if side == "left":
+        for a in A.members:
+            if q(a) != a:
+                return False, ("L1", (a,))
+        for a in A.members:
+            for m in M.elements():
+                if q(table[a][m]) != table[a][q(m)]:
+                    return False, ("L2", (a, m))
+        for m1 in M.elements():
+            for m2 in M.elements():
+                if q(table[m1][m2]) != q(table[m1][q(m2)]):
+                    return False, ("L3", (m1, m2))
+        return True, None
+    for a in A.members:
+        if q(a) != a:
+            return False, ("R1", (a,))
+    for m in M.elements():
+        for a in A.members:
+            if q(table[m][a]) != table[q(m)][a]:
+                return False, ("R2", (m, a))
+    for m1 in M.elements():
+        for m2 in M.elements():
+            if q(table[m1][m2]) != q(table[q(m1)][m2]):
+                return False, ("R3", (m1, m2))
+    return True, None
+
+
+def groupoid_components(objects, acting_group: SubMonoid, action):
+    """Action axioms by three loops over (g1, g2, x), then orbits by label merging.
+
+    Calls ``action`` afresh at every step and raises NotAnAction with the
+    library's messages.  Returns ``(components, morphisms)``.
+    """
+    from monofact.descent import NotAnAction
+
+    objs = tuple(objects)
+    M = acting_group.parent
+    e, t, members = M.identity, M.table, acting_group.members
+    if not all(any(t[g][h] == e == t[h][g] for h in members) for g in members):
+        raise NotAnAction("the acting submonoid is not a group")
+    for x in objs:
+        if action(e, x) != x:
+            raise NotAnAction(f"identity moves {x!r}")
+    for g1 in members:
+        for g2 in members:
+            for x in objs:
+                if action(t[g1][g2], x) != action(g1, action(g2, x)):
+                    raise NotAnAction(f"composition fails at ({g1}, {g2}, {x!r})")
+    index = {x: i for i, x in enumerate(objs)}
+    label = list(range(len(objs)))  # each label is the least index of its class
+    morphisms = []
+    for i, x in enumerate(objs):
+        for g in members:
+            j = index.get(action(g, x))
+            if j is None:
+                raise NotAnAction(f"action escapes the object set at ({g}, {x!r})")
+            morphisms.append((i, g, j))
+            low, high = sorted((label[i], label[j]))
+            label = [low if c == high else c for c in label]
+    components = tuple(
+        tuple(i for i, c in enumerate(label) if c == root) for root in sorted(set(label))
+    )
+    return components, tuple(morphisms)

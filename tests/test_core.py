@@ -72,6 +72,15 @@ class TestFromTable:
         with pytest.raises(IndexOutOfRange):
             from_table([[0, 1], [1]])
 
+    def test_associativity_is_checked_before_the_identity(self):
+        # (0*0)*1 = 0 but 0*(0*1) = 1, and no row is the identity row
+        with pytest.raises(NotAssociative):
+            from_table([[1, 0], [0, 0]])
+
+    def test_bool_entry_is_out_of_range_before_associativity(self):
+        with pytest.raises(IndexOutOfRange):
+            from_table([[True, 0], [0, 0]])
+
     @given(st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=3, max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_accepts_exactly_valid_tables(self, table):
@@ -319,6 +328,22 @@ class TestElementMap:
         A3 = SubMonoid(S3, (0, 4, 5))
         with pytest.raises(MonoidError):
             ElementMap(S3, A3, (0, 1, 0, 0, 4, 5))
+
+    def test_is_homomorphism_matches_pointwise_oracle(self):
+        # maps M -> A, and maps A -> M read through the submonoid's positions
+        verdicts = set()
+        for n in range(1, 5):
+            for M in enumerate_monoids(n, up_to_iso=True):
+                maps = [ElementMap(M, A, values) for A, values in oracles.small_maps(M, 256)]
+                for A in enumerate_submonoids(M):
+                    if n ** len(A) <= 256:
+                        for values in itertools.product(M.members, repeat=len(A)):
+                            maps.append(ElementMap(A, M, values))
+                for f in maps:
+                    ok = f.is_homomorphism()
+                    assert ok == oracles.is_homomorphism_pointwise(f)
+                    verdicts.add((ok, type(f.domain)))
+        assert len(verdicts) == 4  # both verdicts on both kinds of domain
 
     def test_compose(self):
         sign = ElementMap(S3, C2, (0, 1, 1, 1, 0, 0))

@@ -1,9 +1,19 @@
 import pytest
 
 import oracles
+from monofact import verify
 from monofact.catalog import CATALOG
-from monofact.core import ElementMap, NotInvertible, SubMonoid, units, zero_map
+from monofact.core import (
+    ElementMap,
+    MonoidError,
+    NotInvertible,
+    SubMonoid,
+    enumerate_monoids,
+    units,
+    zero_map,
+)
 from monofact.descent import (
+    ActionGroupoid,
     DescentCocycle,
     NotACocycle,
     NotAFactorization,
@@ -20,6 +30,7 @@ from monofact.descent import (
     unit_valued_cocycles,
 )
 from monofact.factorization import enumerate_factorizations, fac_over, try_factorization
+from monofact.semidirect import semidirect
 
 S3 = CATALOG["s3"]
 B2 = CATALOG["b2"]
@@ -320,3 +331,68 @@ class TestCanonicalOrder:
         for M, A in [(S3, A3), (S3, T12), (CATALOG["b2xc2"], SubMonoid(CATALOG["b2xc2"], (0, 2)))]:
             values = [q.values for q in enumerate_descent_cocycles(M, A)]
             assert values == sorted(values)
+
+
+class TestTabulatedChecksMatchPointwise:
+    """The value-table law checks and groupoid agree with the call-per-pair versions."""
+
+    def test_descent_cocycle_witnesses(self):
+        seen = set()
+        for n in range(1, 5):
+            for M in enumerate_monoids(n, up_to_iso=True):
+                for A, values in oracles.small_maps(M, 256):
+                    q = ElementMap(M, A, values)
+                    for side in ("left", "right"):
+                        got = is_descent_cocycle(M, A, q, side)
+                        assert got == oracles.is_descent_cocycle_pointwise(M, A, q, side)
+                        seen.add(got[1][0] if got[1] else "ok")
+        assert seen == {"ok", "L1", "L2", "L3", "R1", "R2", "R3"}
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except MonoidError as exc:  # the type and message are what is compared
+            return type(exc), str(exc)
+
+    def assert_same(self, objects, acting, action):
+        ours = self.outcome(lambda: groupoid_components(objects, acting, action))
+        if isinstance(ours, ActionGroupoid):
+            ours = ours.components, ours.morphisms
+        assert ours == self.outcome(
+            lambda: oracles.groupoid_components(objects, acting, action)
+        )
+        return ours
+
+    def test_broken_actions_fail_alike(self):
+        partners = fac_over(S3, A3)
+        acting = units(A3)
+        conj = conjugate_second_factor
+        cycle = {B: partners[(i + 1) % 3] for i, B in enumerate(partners)}
+
+        def raises_at_5(a0, B):
+            if a0 == 5 and B == partners[2]:
+                raise NotInvertible(f"refusing ({a0}, {B!r})")
+            return conj(a0, B)
+
+        broken = {
+            "identity moves": lambda a0, B: cycle[B] if a0 == 0 else conj(a0, B),
+            "composition fails": lambda a0, B: B if a0 == 0 else partners[0],
+            "escapes the object set": conj,
+            "refusing": raises_at_5,
+        }
+        for message, action in broken.items():
+            objects = partners[:2] if message == "escapes the object set" else partners
+            _, text = self.assert_same(objects, acting, action)
+            assert message in text
+        assert self.assert_same(partners, acting, conj)[0] == ((0, 1, 2),)
+
+    def test_battery_groupoids(self):
+        actions = verify._action_population(verify._population(3, True))
+        assert len(actions) == 978
+        for _, act in actions:
+            sd = semidirect(act.acted, act, act.actor)
+            first = sd.first_image()
+            args = (fac_over(sd.product, first), units(first), conjugate_second_factor)
+            ours = groupoid_components(*args)
+            assert (ours.components, ours.morphisms) == oracles.groupoid_components(*args)

@@ -201,6 +201,48 @@ class TestH1:
             )
 
 
+class TestH1GivenCocycles:
+    """h1 on an already enumerated Z¹ is h1 on its own enumeration."""
+
+    @pytest.fixture(scope="class")
+    def actions(self):
+        population = verify._population(3, True)
+        battery = [act for _, act in verify._action_population(population)]
+        inner = []
+        for _, A in population:
+            for _, B in population:
+                if B.size > verify._ACTION_ACTOR_LIMIT:
+                    continue
+                if A.size * B.size > verify._ACTION_PRODUCT_LIMIT:
+                    continue
+                for kappa in enumerate_homs(B, A):
+                    if all(v in units(A).member_set for v in kappa.values):
+                        inner.append(inner_action_and_convolution(B, A, kappa).action)
+        assert (len(battery), len(inner)) == (978, 431)  # the order-3 check counts
+        return battery + inner
+
+    def test_same_classes(self, actions):
+        def fields(classes):
+            return (
+                classes.objects,
+                classes.class_of,
+                classes.representatives,
+                classes.witnesses,
+                classes.base_class,
+            )
+
+        for act in actions:
+            for unit_valued in (False, True):
+                given = h1(act, unit_valued, cocycles=z1(act, unit_valued))
+                assert fields(given) == fields(h1(act, unit_valued))
+
+    def test_rejects_another_actions_cocycles(self):
+        with pytest.raises(ActionMismatch):
+            h1(INVERSION, cocycles=z1(trivial_action(C2, C3)))
+        with pytest.raises(ActionMismatch):
+            h1(INVERSION, unit_valued=True, cocycles=z1(trivial_action(C2, C3), True))
+
+
 class TestClassesMatchPairwiseScan:
     """Orbit classes agree with the pairwise relation scan on the battery population."""
 
