@@ -118,6 +118,29 @@ class FiniteMonoid:
         """The identity position table, shared by every map out of this monoid."""
         return {x: x for x in range(len(self.table))}
 
+    @cached_property
+    def signature(self) -> tuple[tuple[bool, bool, int, int, int, int], ...]:
+        """Per-element isomorphism invariants, indexed by element.
+
+        ``signature[x]`` is (x is a unit, x is idempotent, |xM|, |Mx|,
+        #{y : xy = x}, #{y : yx = x}); an isomorphism maps x to an element
+        with the same tuple.  Only the identity is an idempotent unit.
+        """
+        t, e = self.table, self.identity
+        rng = range(len(t))
+        cols = [tuple(row[x] for row in t) for x in rng]
+        return tuple(
+            (
+                any(t[x][y] == e == t[y][x] for y in rng),
+                t[x][x] == x,
+                len(set(t[x])),
+                len(set(cols[x])),
+                t[x].count(x),
+                cols[x].count(x),
+            )
+            for x in rng
+        )
+
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
@@ -592,28 +615,42 @@ def _is_canonical_table(table, n: int) -> bool:
 
 
 def find_isomorphism(M: FiniteMonoid, N: FiniteMonoid) -> MonoidIso | None:
-    """Brute-force isomorphism search; returns the lexicographically least one."""
+    """Invariant-pruned isomorphism search; returns the lexicographically least one.
+
+    Monoids whose sorted ``signature`` multisets differ are not isomorphic.
+    Otherwise only the bijections sending each x into the fibre of N's
+    elements with x's signature are tried, in lexicographic order.  Every
+    isomorphism is such a bijection, so the first one that preserves the
+    table is the least isomorphism.  The identity is alone in its fibre.
+    """
     n = M.size
-    if n != N.size:
+    if n != N.size or sorted(M.signature) != sorted(N.signature):
         return None
-    if len(units(M)) != len(units(N)):
-        return None
+    fibres: dict[tuple, list[int]] = {}
+    for y, sig in enumerate(N.signature):
+        fibres.setdefault(sig, []).append(y)
+    choices = [fibres[sig] for sig in M.signature]
     m_tab, n_tab = M.table, N.table
-    for perm in itertools.permutations(range(n)):
-        if perm[M.identity] != N.identity:
-            continue
-        ok = True
-        for x in range(n):
-            px = perm[x]
-            for y in range(n):
-                if n_tab[px][perm[y]] != perm[m_tab[x][y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            inv = [0] * n
-            for i, p in enumerate(perm):
-                inv[p] = i
-            return MonoidIso(ElementMap(M, N, perm), ElementMap(N, M, tuple(inv)))
-    return None
+    rng = range(n)
+    perm: list[int] = []
+    used = [False] * n
+
+    def extend() -> bool:
+        if len(perm) == n:
+            return all(n_tab[perm[x]][perm[y]] == perm[m_tab[x][y]] for x in rng for y in rng)
+        for y in choices[len(perm)]:
+            if not used[y]:
+                used[y] = True
+                perm.append(y)
+                if extend():
+                    return True
+                perm.pop()
+                used[y] = False
+        return False
+
+    if not extend():
+        return None
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return MonoidIso(ElementMap(M, N, tuple(perm)), ElementMap(N, M, tuple(inv)))

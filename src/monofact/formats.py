@@ -25,12 +25,19 @@ class MonoidDocument:
 _MONOID_FIELDS = ("name", "size", "identity", "labels", "table")
 
 
-def parse_document(text: str) -> MonoidDocument:
-    """Parse and validate a monoid JSON document."""
+def _load_json(text: str):
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer past the digit limit, or nesting past the recursion limit
+        raise ParseError(f"invalid JSON: {exc}") from None
+
+
+def parse_document(text: str) -> MonoidDocument:
+    """Parse and validate a monoid JSON document."""
+    raw = _load_json(text)
     if not isinstance(raw, dict):
         raise ParseError("expected a JSON object")
     unknown = set(raw) - set(_MONOID_FIELDS)
@@ -99,10 +106,7 @@ def parse_action(
     supply the monoids directly, in which case any references in the
     file are cross-checked against them.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    raw = _load_json(text)
     if not isinstance(raw, dict):
         raise ParseError("expected a JSON object")
     unknown = set(raw) - {"actor", "acted", "star"}

@@ -81,6 +81,11 @@ class CheckResult:
     passed: bool
     counterexample: str | None = None
 
+    def __post_init__(self):
+        # a check that saw no instance proves nothing, so it never passes
+        if self.instances == 0:
+            object.__setattr__(self, "passed", False)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         text = f"{self.check}: {status} ({self.instances} instances)"
@@ -518,7 +523,8 @@ def _check_conjugation_action(pop: list[Named]) -> Outcome:
         for fac in _facs(M):
             A, B = fac.first, fac.second
             partners = {C.members for C in _fac_over(M, A)}
-            for a0 in units(A).members:
+            unit_members = units(A).members
+            for a0 in unit_members:
                 count += 1
                 conj = conjugate_second_factor(a0, B)
                 if conj.members not in partners:
@@ -527,8 +533,8 @@ def _check_conjugation_action(pop: list[Named]) -> Outcome:
                     )
             if conjugate_second_factor(M.identity, B).members != B.members:
                 return count, _describe(name, M, "identity conjugation moved a factor")
-            for a1 in units(A).members:
-                for a2 in units(A).members:
+            for a1 in unit_members:
+                for a2 in unit_members:
                     stepwise = conjugate_second_factor(
                         a1, conjugate_second_factor(a2, B)
                     )

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from monofact.core import FiniteMonoid, SubMonoid
+from monofact.core import ElementMap, FiniteMonoid, MonoidIso, SubMonoid, units
 
 
 def associativity_holds(table) -> bool:
@@ -173,6 +173,34 @@ def monoid_tables_with_fixed_identity(n: int) -> list[tuple[tuple[int, ...], ...
         if associativity_holds(table):
             out.append(tuple(map(tuple, table)))
     return out
+
+
+def find_isomorphism_bruteforce(M: FiniteMonoid, N: FiniteMonoid) -> MonoidIso | None:
+    """Scan every permutation in lexicographic order; the first table-preserving one wins."""
+    n = M.size
+    if n != N.size:
+        return None
+    if len(units(M)) != len(units(N)):
+        return None
+    m_tab, n_tab = M.table, N.table
+    for perm in itertools.permutations(range(n)):
+        if perm[M.identity] != N.identity:
+            continue
+        ok = True
+        for x in range(n):
+            px = perm[x]
+            for y in range(n):
+                if n_tab[px][perm[y]] != perm[m_tab[x][y]]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            inv = [0] * n
+            for i, p in enumerate(perm):
+                inv[p] = i
+            return MonoidIso(ElementMap(M, N, perm), ElementMap(N, M, tuple(inv)))
+    return None
 
 
 def unit_conjugacy_classes(count: int, unit_members, related, base_index):

@@ -153,6 +153,14 @@ class TestVerifyCommand:
         code, out, _ = run("verify", "--max-size", "1", "--catalog")
         assert code == 0 and "catalog" in out.splitlines()[0]
 
+    def test_vacuous_check_exits_1(self, monkeypatch):
+        from monofact import verify
+
+        monkeypatch.setattr(verify, "_check_conical_bound", lambda pop: (0, None))
+        code, out, _ = run("verify", "--max-size", "1")
+        assert code == 1
+        assert "conical-bound: FAIL (0 instances)" in out.splitlines()
+
     @pytest.mark.parametrize("bound", ["0", "-1", "5"])
     def test_out_of_range_max_size_is_usage_error(self, bound):
         code, out, err = run("verify", "--max-size", bound)

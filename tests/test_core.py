@@ -15,6 +15,7 @@ from monofact.core import (
     NotAssociative,
     SizeBoundExceeded,
     SubMonoid,
+    _relabeled_table,
     compose,
     direct_product,
     endomorphism_monoid,
@@ -315,6 +316,53 @@ class TestFindIsomorphism:
         for x in M.elements():
             for y in M.elements():
                 assert f(M.mul(x, y)) == N.mul(f(x), f(y))
+
+
+def _iso_values(iso):
+    return None if iso is None else iso.forward.values
+
+
+@pytest.fixture(scope="module")
+def tables_and_classes():
+    return {n: (enumerate_monoids(n), enumerate_monoids(n, up_to_iso=True)) for n in range(1, 5)}
+
+
+class TestFindIsomorphismOracle:
+    """The invariant-pruned search returns exactly what scanning every permutation does."""
+
+    def assert_agree(self, pairs):
+        for M, N in pairs:
+            want = _iso_values(oracles.find_isomorphism_bruteforce(M, N))
+            assert _iso_values(find_isomorphism(M, N)) == want, (M.table, N.table)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tables_against_classes(self, tables_and_classes, n):
+        tables, classes = tables_and_classes[n]
+        self.assert_agree(itertools.product(tables, classes))
+
+    def test_class_pairs(self, tables_and_classes):
+        classes = [M for _, reps in tables_and_classes.values() for M in reps]
+        self.assert_agree(itertools.product(classes, repeat=2))
+
+    def test_catalog_pairs(self):
+        self.assert_agree(itertools.product(CATALOG.values(), repeat=2))
+
+
+class TestSignature:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_invariant_under_relabeling(self, tables_and_classes, n):
+        for M in tables_and_classes[n][0]:
+            for tail in itertools.permutations(range(1, n)):
+                perm = (0,) + tail
+                R = FiniteMonoid(_relabeled_table(M.table, perm), 0)
+                assert sorted(R.signature) == sorted(M.signature)
+                # R's element perm[x] is M's x
+                assert [R.signature[p] for p in perm] == list(M.signature)
+
+    def test_identity_alone_in_its_fibre(self, tables_and_classes):
+        for _, classes in tables_and_classes.values():
+            for M in classes:
+                assert M.signature.count(M.signature[M.identity]) == 1
 
 
 class TestElementMap:

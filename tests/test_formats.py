@@ -1,9 +1,20 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monofact.catalog import CATALOG
-from monofact.core import FiniteMonoid, IndexOutOfRange, NoIdentity, NotAssociative
+from monofact.core import (
+    FiniteMonoid,
+    IndexOutOfRange,
+    MonoidError,
+    NoIdentity,
+    NotAssociative,
+    _relabeled_table,
+    enumerate_monoids,
+)
 from monofact.formats import (
     MonoidDocument,
     ParseError,
@@ -17,6 +28,39 @@ from monofact.formats import (
 from monofact.semidirect import ActionMismatch, AxiomViolation, validate_action
 
 INVERSION = validate_action(CATALOG["c2"], CATALOG["c3"], [[0, 1, 2], [0, 2, 1]])
+
+# every monoid on 0..n-1 for n <= 4: each identity-0 table under every relabeling
+SMALL_MONOIDS = [
+    FiniteMonoid(_relabeled_table(M.table, perm), perm[0])
+    for n in range(1, 5)
+    for M in enumerate_monoids(n)
+    for perm in itertools.permutations(range(n))
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=20,
+)
+# objects with the document's own fields and small values reach the deeper checks
+FIELD_VALUES = (
+    st.integers(-2, 5)
+    | st.booleans()
+    | st.lists(st.lists(st.integers(-1, 4) | st.booleans(), max_size=4), max_size=4)
+    | st.lists(st.text(max_size=2), max_size=4)
+    | JSON_VALUES
+)
+DOCUMENTS = st.dictionaries(
+    st.sampled_from(("name", "size", "identity", "labels", "table", "extra")), FIELD_VALUES
+)
+
+
+def parse_or_reject(text: str) -> None:
+    """Parse ``text``; a rejection must be a MonoidError (ParseError is one)."""
+    try:
+        parse_document(text)
+    except MonoidError:
+        pass
 
 
 class TestParse:
@@ -105,6 +149,42 @@ class TestEmit:
         bare = from_table([[0]])
         keys = list(json.loads(emit_monoid(bare)).keys())
         assert keys == ["size", "identity", "table"]
+
+
+class TestProperties:
+    def test_round_trip_every_monoid_up_to_order_4(self):
+        assert len(SMALL_MONOIDS) == 1 + 2 * 2 + 11 * 6 + 156 * 24
+        for M in SMALL_MONOIDS:
+            assert parse_monoid(emit_monoid(M)) == M
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_round_trip_keeps_name_and_labels(self, data):
+        M = data.draw(st.sampled_from(SMALL_MONOIDS))
+        labels = data.draw(st.none() | st.lists(st.text(), min_size=M.size, max_size=M.size))
+        doc = MonoidDocument(FiniteMonoid(M.table, M.identity, labels), data.draw(st.none() | st.text()))
+        back = parse_document(emit_document(doc))
+        assert back == doc and back.monoid.labels == doc.monoid.labels
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    @example("[" * 100_000)
+    @example('{"size": ' + "1" * 5000 + ', "identity": 0, "table": [[0]]}')
+    def test_fuzzed_text_raises_only_monoid_errors(self, text):
+        parse_or_reject(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES | DOCUMENTS)
+    def test_fuzzed_json_raises_only_monoid_errors(self, value):
+        parse_or_reject(json.dumps(value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_edited_documents_raise_only_monoid_errors(self, data):
+        text = emit_monoid(data.draw(st.sampled_from(list(CATALOG.values()))), "m")
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 3)))
+        parse_or_reject(text[:i] + data.draw(st.text(max_size=3)) + text[j:])
 
 
 class TestActionFiles:

@@ -27,6 +27,14 @@ class TestSuite:
         b = verify_suite(2, catalog=False).lines()
         assert a == b
 
+    def test_vacuous_check_does_not_pass(self, monkeypatch):
+        monkeypatch.setattr(verify, "_check_conical_bound", lambda pop: (0, None))
+        report = verify_suite(1, catalog=False)
+        result = next(c for c in report.checks if c.check == "conical-bound")
+        assert (result.passed, result.line()) == (False, "conical-bound: FAIL (0 instances)")
+        assert not report.all_passed
+        assert report.lines()[-1].startswith("total: 26/27 checks passed")
+
     def test_corrupted_table_rejected_before_suite(self):
         # a broken table never becomes a monoid, so it can never enter a population
         from monofact.core import from_table
