@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from pathlib import Path
 from typing import IO, Sequence
@@ -245,7 +246,17 @@ def _cmd_catalog(args, out: IO[str]) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Sharing is safe because ``parse_args`` leaves the parser unchanged and
+    returns a fresh ``Namespace``, and argparse looks up ``sys.stdout`` and
+    ``sys.stderr`` only when it prints, so each ``run_command`` redirect
+    still applies.  ``set_defaults(func=...)`` binds the ``_cmd_*``
+    handlers when the parser is built: patching ``cli._cmd_*`` after the
+    first call has no effect.
+    """
     parser = argparse.ArgumentParser(
         prog="monofact",
         description="Finite monoid factorizations, descent cocycles and cohomology.",

@@ -163,8 +163,10 @@ def second_factor_filter(
     return True, None
 
 
-def _left_equivariance_ok(M: FiniteMonoid, A: SubMonoid, f: ElementMap) -> bool:
-    """f(a*m) = a*f(m) for all a in A, m in M."""
+def left_component_ok(M: FiniteMonoid, A: SubMonoid, B: SubMonoid, f: ElementMap) -> bool:
+    """The first map's one-sided conditions: f(b) = e on B, f(a*m) = a*f(m) on A x M."""
+    if any(f(b) != M.identity for b in B.members):
+        return False
     table = M.table
     values = [f(m) for m in M.elements()]
     return all(
@@ -172,13 +174,20 @@ def _left_equivariance_ok(M: FiniteMonoid, A: SubMonoid, f: ElementMap) -> bool:
     )
 
 
-def _right_equivariance_ok(M: FiniteMonoid, B: SubMonoid, f: ElementMap) -> bool:
-    """f(m*b) = f(m)*b for all m in M, b in B."""
+def right_component_ok(M: FiniteMonoid, A: SubMonoid, B: SubMonoid, g: ElementMap) -> bool:
+    """The second map's one-sided conditions: g(a) = e on A, g(m*b) = g(m)*b on M x B."""
+    if any(g(a) != M.identity for a in A.members):
+        return False
     table = M.table
-    values = [f(m) for m in M.elements()]
+    values = [g(m) for m in M.elements()]
     return all(
         values[table[m][b]] == table[values[m]][b] for b in B.members for m in M.elements()
     )
+
+
+def separates_points(M: FiniteMonoid, f: ElementMap, g: ElementMap) -> bool:
+    """m -> (f(m), g(m)) is injective."""
+    return len({(f(m), g(m)) for m in M.elements()}) == M.size
 
 
 def verify_bicross(
@@ -194,22 +203,11 @@ def verify_bicross(
     B-equivariant, each collapses the other factor to the identity, and
     the two maps jointly separate points.
     """
-    e = M.identity
-    if not _left_equivariance_ok(M, A, to_first):
-        return False
-    if not _right_equivariance_ok(M, B, to_second):
-        return False
-    if any(to_second(a) != e for a in A.members):
-        return False
-    if any(to_first(b) != e for b in B.members):
-        return False
-    seen = set()
-    for m in M.elements():
-        pair = (to_first(m), to_second(m))
-        if pair in seen:
-            return False
-        seen.add(pair)
-    return True
+    return (
+        left_component_ok(M, A, B, to_first)
+        and right_component_ok(M, A, B, to_second)
+        and separates_points(M, to_first, to_second)
+    )
 
 
 def set_product_is_all(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bool:

@@ -46,7 +46,10 @@ from .factorization import (
     enumerate_factorizations,
     fac_over,
     first_factor_filter,
+    left_component_ok,
+    right_component_ok,
     second_factor_filter,
+    separates_points,
     try_factorization,
     verify_bicross,
 )
@@ -368,6 +371,23 @@ def _check_factorization_characterization(pop: list[Named]) -> Outcome:
     return count, None
 
 
+def _bicross_accepted(
+    M: FiniteMonoid,
+    A: SubMonoid,
+    B: SubMonoid,
+    l_maps: list[ElementMap],
+    r_maps: list[ElementMap],
+) -> set[tuple]:
+    """The (l, r) value pairs from l_maps x r_maps that ``verify_bicross`` accepts.
+
+    Each map's one-sided conditions are tested once; joint separation
+    only on pairs of survivors.
+    """
+    lefts = [f for f in l_maps if left_component_ok(M, A, B, f)]
+    rights = [g for g in r_maps if right_component_ok(M, A, B, g)]
+    return {(f.values, g.values) for f in lefts for g in rights if separates_points(M, f, g)}
+
+
 def _check_kernel_pair_characterization(pop: list[Named]) -> Outcome:
     count = 0
     for name, M in pop:
@@ -377,31 +397,30 @@ def _check_kernel_pair_characterization(pop: list[Named]) -> Outcome:
             count += 1
             if not verify_bicross(M, fac.first, fac.second, fac.to_first, fac.to_second):
                 return count, _describe(name, M, f"component maps of {fac} rejected")
+        # every map M -> S, built once per S and shared by all pairs within the limit
+        maps = {
+            S: [ElementMap(M, S, vals) for vals in itertools.product(S.members, repeat=n)]
+            for S in subs
+            if len(S) ** n <= _BICROSS_SCAN_LIMIT
+        }
         for A in subs:
             for B in subs:
                 if len(A) ** n * len(B) ** n > _BICROSS_SCAN_LIMIT:
                     continue
                 fac = try_factorization(M, A, B)
                 expected = (
-                    (fac.to_first.values, fac.to_second.values) if fac is not None else None
+                    {(fac.to_first.values, fac.to_second.values)} if fac is not None else set()
                 )
                 count += 1
-                r_maps = [
-                    ElementMap(M, B, r_vals)
-                    for r_vals in itertools.product(B.members, repeat=n)
-                ]
-                for l_vals in itertools.product(A.members, repeat=n):
-                    l_map = ElementMap(M, A, l_vals)
-                    for r_map in r_maps:
-                        r_vals = r_map.values
-                        accepted = verify_bicross(M, A, B, l_map, r_map)
-                        should = expected == (l_vals, r_vals)
-                        if accepted != should:
-                            return count, _describe(
-                                name, M,
-                                f"pair ({A.members},{B.members}) maps {l_vals}/{r_vals}: "
-                                f"accepted={accepted} expected={should}",
-                            )
+                wrong = _bicross_accepted(M, A, B, maps[A], maps[B]) ^ expected
+                if wrong:
+                    l_vals, r_vals = min(wrong)
+                    should = (l_vals, r_vals) in expected
+                    return count, _describe(
+                        name, M,
+                        f"pair ({A.members},{B.members}) maps {l_vals}/{r_vals}: "
+                        f"accepted={not should} expected={should}",
+                    )
     return count, None
 
 

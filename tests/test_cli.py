@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from monofact import cli
 from monofact.catalog import CATALOG
 from monofact.cli import run_command
 from monofact.formats import emit_monoid, parse_monoid
@@ -161,6 +162,21 @@ class TestVerifyCommand:
         assert code == 1
         assert "conical-bound: FAIL (0 instances)" in out.splitlines()
 
+    def test_counterexample_is_reported(self, monkeypatch):
+        from monofact import verify
+
+        monkeypatch.setattr(verify, "first_factor_filter", lambda M, A: (False, (0, 0)))
+        assert not verify.verify_suite(1, catalog=False).all_passed
+        code, out, err = run("verify", "--max-size", "1")
+        lines = out.splitlines()
+        assert code == 1 and err == ""
+        assert lines[1] == (
+            "first-factor-necessity: FAIL (1 instances) -- order1#0 table=[[0]]; "
+            "fac=Factorization((0,), (0,)), witnesses (0, 0) None"
+        )
+        assert lines[-1].startswith("total: 26/27 checks passed")
+        assert sum(line.endswith("PASS (1 instances)") for line in lines) == 25
+
     @pytest.mark.parametrize("bound", ["0", "-1", "5"])
     def test_out_of_range_max_size_is_usage_error(self, bound):
         code, out, err = run("verify", "--max-size", bound)
@@ -228,6 +244,36 @@ class TestDeterminism:
         first = run(*argv)
         second = run(*argv)
         assert first == second
+
+
+class TestSharedParser:
+    """One parser serves every call in a process; no call sees another's state."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_then_valid_command(self):
+        fresh = run("fac", "--in", "@s3")
+        code, out, err = run("fac", "--in", "@s3", "--side", "left")
+        assert code == 2 and out == "" and "unrecognized arguments: --side" in err
+        assert run("fac", "--in", "@s3") == fresh
+        assert fresh[0] == 0 and fresh[2] == ""
+
+    def test_strict_does_not_carry_over(self):
+        # every submonoid of S3 has a second factor; {e,g2} in C4 has none
+        empty = ["second factors for {e,g2}: 0"]
+        code, out, _ = run("--strict", "fac", "--in", "@c4", "--first", "g2")
+        assert code == 1 and out.splitlines() == empty
+        code, out, _ = run("fac", "--in", "@c4", "--first", "g2")
+        assert code == 0 and out.splitlines() == empty
+        assert run("--strict", "fac", "--in", "@c4", "--first", "g2")[0] == 1
+
+    @pytest.mark.parametrize("argv", [("--help",), ("fac", "--help")])
+    def test_help_twice(self, argv):
+        first = run(*argv)
+        second = run(*argv)
+        assert first[0] == 0 and first[1].startswith("usage: monofact")
+        assert first == second and first[2] == ""
 
 
 def test_python_dash_m_runs_the_cli():

@@ -316,7 +316,20 @@ class TestDualRoutes:
     def test_right_enumeration_matches_direct_filter(self):
         import itertools
 
-        for M, A in [(B2, SubMonoid(B2, (0, 1))), (S3, T12), (C4, SubMonoid(C4, (0, 2)))]:
+        from monofact.core import enumerate_submonoids
+
+        fixed = [(B2, SubMonoid(B2, (0, 1))), (S3, T12), (C4, SubMonoid(C4, (0, 2)))]
+        # every (M, A) with |A|^|M| <= 256, M one of the 45 classes of order <= 4 or the catalog
+        population = [M for n in range(1, 5) for M in enumerate_monoids(n, up_to_iso=True)]
+        population += CATALOG.values()
+        small = [
+            (M, A)
+            for M in population
+            for A in enumerate_submonoids(M)
+            if len(A) ** M.size <= 256
+        ]
+        assert len(population) == 45 + len(CATALOG)
+        for M, A in fixed + small:
             ours = [q.values for q in enumerate_descent_cocycles(M, A, "right")]
             direct = [
                 values

@@ -1,7 +1,16 @@
+import itertools
+
 import pytest
 
 from monofact import verify
-from monofact.core import MonoidError, SizeBoundExceeded
+from monofact.core import (
+    ElementMap,
+    MonoidError,
+    SizeBoundExceeded,
+    enumerate_monoids,
+    enumerate_submonoids,
+)
+from monofact.factorization import verify_bicross
 from monofact.verify import verify_suite
 
 
@@ -41,6 +50,54 @@ class TestSuite:
 
         with pytest.raises(MonoidError):
             from_table([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
+
+
+class TestKernelPairScan:
+    def test_factored_scan_matches_verify_bicross(self):
+        """Every (A, B, l, r) at order <= 3 within the scan limit, pair by pair."""
+        pairs = accepted_total = 0
+        for n in range(1, 4):
+            for M in enumerate_monoids(n, up_to_iso=True):
+                subs = enumerate_submonoids(M)
+                for A, B in itertools.product(subs, repeat=2):
+                    if len(A) ** n * len(B) ** n > verify._BICROSS_SCAN_LIMIT:
+                        continue
+                    l_maps = [ElementMap(M, A, v) for v in itertools.product(A.members, repeat=n)]
+                    r_maps = [ElementMap(M, B, v) for v in itertools.product(B.members, repeat=n)]
+                    direct = {
+                        (f.values, g.values)
+                        for f in l_maps
+                        for g in r_maps
+                        if verify_bicross(M, A, B, f, g)
+                    }
+                    assert verify._bicross_accepted(M, A, B, l_maps, r_maps) == direct
+                    pairs += 1
+                    accepted_total += len(direct)
+        assert pairs > 0 and accepted_total > 0
+
+    def test_rejected_component_pair_is_reported(self, monkeypatch):
+        # a scan that accepts nothing misses the expected pair of the first factorizing (A, B)
+        monkeypatch.setattr(verify, "_bicross_accepted", lambda *args: set())
+        count, detail = verify._check_kernel_pair_characterization(verify._population(1, False))
+        assert count == 2
+        assert detail == (
+            "order1#0 table=[[0]]; pair ((0,),(0,)) maps (0,)/(0,): accepted=False expected=True"
+        )
+
+    def test_wrongly_accepted_pair_is_reported(self, monkeypatch):
+        real = verify._bicross_accepted
+
+        def too_many(M, A, B, l_maps, r_maps):
+            return real(M, A, B, l_maps, r_maps) | {(l_maps[0].values, r_maps[0].values)}
+
+        monkeypatch.setattr(verify, "_bicross_accepted", too_many)
+        count, detail = verify._check_kernel_pair_characterization(verify._population(2, False))
+        # C2 = order2#0 has two factorizations; its ({e}, {e}) pair has one map each way
+        assert count == 5
+        assert detail == (
+            "order2#0 table=[[0, 1], [1, 0]]; pair ((0,),(0,)) maps (0, 0)/(0, 0): "
+            "accepted=True expected=False"
+        )
 
 
 class TestActionBattery:
