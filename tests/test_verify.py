@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,11 @@ from monofact.core import (
 )
 from monofact.factorization import verify_bicross
 from monofact.verify import verify_suite
+
+# verify_suite(n, catalog).lines() for n = 1..3, as recorded before the check driver
+GOLDEN_REPORTS = json.loads(
+    (Path(__file__).parent / "goldens" / "verify_small.json").read_text()
+)
 
 
 class TestSuite:
@@ -43,6 +50,11 @@ class TestSuite:
         assert (result.passed, result.line()) == (False, "conical-bound: FAIL (0 instances)")
         assert not report.all_passed
         assert report.lines()[-1].startswith("total: 26/27 checks passed")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("catalog", [False, True])
+    def test_report_matches_golden(self, n, catalog):
+        assert verify_suite(n, catalog).lines() == GOLDEN_REPORTS[f"{n} catalog={catalog}"]
 
     def test_corrupted_table_rejected_before_suite(self):
         # a broken table never becomes a monoid, so it can never enter a population
