@@ -47,16 +47,6 @@ class FactorizationFailure:
     witness: tuple
     uncovered: int | None = None  # an element missed by the product map, if any
 
-    def describe(self) -> str:
-        if self.kind == "cardinality":
-            a, b, m = self.witness
-            return f"cardinality: |A|*|B| = {a}*{b} != {m} = |M|"
-        (a1, b1), (a2, b2), m = self.witness
-        text = f"injectivity: {a1}*{b1} = {a2}*{b2} = {m}"
-        if self.uncovered is not None:
-            text += f"; surjectivity: {self.uncovered} is not covered"
-        return text
-
 
 def factorization_attempt(
     M: FiniteMonoid, A: SubMonoid, B: SubMonoid

@@ -319,7 +319,8 @@ def h1(
     Two cocycles are cohomologous when some unit a0 satisfies
     ``chi(b) * (b . a0) = a0 * chi'(b)`` at every b.  ``cocycles`` is the
     already enumerated ``z1(act, unit_valued)``, when the caller has it;
-    a cocycle of another action raises ActionMismatch.
+    a cocycle of another action, or a list without the zero cocycle, is
+    not that Z¹ and raises ActionMismatch.
     """
     if cocycles is None:
         cocycles = z1(act, unit_valued)
@@ -330,7 +331,9 @@ def h1(
     unit_members = units(A).members
     inverse = {a0: inverse_in(A, a0) for a0 in unit_members}
     zero_values = (A.identity,) * B.size
-    base_index = next(i for i, c in enumerate(cocycles) if c.values == zero_values)
+    base_index = next((i for i, c in enumerate(cocycles) if c.values == zero_values), None)
+    if base_index is None:
+        raise ActionMismatch("the cocycles lack the zero cocycle")
 
     def move(a0: int, values: Values) -> Values:
         # solve chi(b) * (b . a0) = a0 * chi'(b) for chi'

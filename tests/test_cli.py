@@ -157,7 +157,11 @@ class TestVerifyCommand:
     def test_vacuous_check_exits_1(self, monkeypatch):
         from monofact import verify
 
-        monkeypatch.setattr(verify, "_check_conical_bound", lambda pop: (0, None))
+        table = tuple(
+            (i, kind, (lambda unit: (0, None)) if i == "conical-bound" else fn)
+            for i, kind, fn in verify._CHECKS
+        )
+        monkeypatch.setattr(verify, "_CHECKS", table)
         code, out, _ = run("verify", "--max-size", "1")
         assert code == 1
         assert "conical-bound: FAIL (0 instances)" in out.splitlines()

@@ -242,6 +242,14 @@ class TestH1GivenCocycles:
         with pytest.raises(ActionMismatch):
             h1(INVERSION, unit_valued=True, cocycles=z1(trivial_action(C2, C3), True))
 
+    def test_rejects_cocycles_without_zero(self):
+        with pytest.raises(ActionMismatch):
+            h1(INVERSION, cocycles=[])
+        nonzero = [c for c in z1(INVERSION, True) if set(c.values) != {C3.identity}]
+        assert nonzero
+        with pytest.raises(ActionMismatch):
+            h1(INVERSION, unit_valued=True, cocycles=nonzero)
+
 
 class TestClassesMatchPairwiseScan:
     """Orbit classes agree with the pairwise relation scan on the battery population."""
