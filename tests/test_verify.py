@@ -17,7 +17,7 @@ from monofact.core import (
 from monofact.factorization import verify_bicross
 from monofact.verify import verify_suite
 
-# verify_suite(n, catalog).lines() for n = 1..3, as recorded before the check driver
+# verify_suite(n, catalog).lines() for n = 1..3, with and without the catalog
 GOLDEN_REPORTS = json.loads(
     (Path(__file__).parent / "goldens" / "verify_small.json").read_text()
 )
@@ -142,6 +142,12 @@ class TestActionBattery:
     KEY = "2 catalog=False"
     CHECK_IDS = [line.split(":")[0] for line in GOLDEN_REPORTS[KEY][1:-1]]
     K = 2  # the planted counterexample's unit, counted within the check's kind
+    BATTERY_IDS = (
+        "semidirect-construction",
+        "sections-bijection",
+        "unit-z1-second-factors",
+        "h1-component-count",
+    )
 
     @pytest.fixture(scope="class")
     def planted_descriptions(self):
@@ -159,13 +165,6 @@ class TestActionBattery:
         report = verify_suite(2, catalog=False)
         assert_golden_except(report, self.KEY, {target})
         return result_of(report, target)
-
-    BATTERY_IDS = (
-        "semidirect-construction",
-        "sections-bijection",
-        "unit-z1-second-factors",
-        "h1-component-count",
-    )
 
     def test_ids_in_report_order(self):
         assert [check_id for check_id, _, _ in verify._CHECKS] == self.CHECK_IDS
