@@ -8,7 +8,7 @@ inverting the multiplication map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .core import (
     ElementMap,
@@ -153,25 +153,33 @@ def second_factor_filter(
     return True, None
 
 
-def left_component_ok(M: FiniteMonoid, A: SubMonoid, B: SubMonoid, f: ElementMap) -> bool:
-    """The first map's one-sided conditions: f(b) = e on B, f(a*m) = a*f(m) on A x M."""
-    if any(f(b) != M.identity for b in B.members):
-        return False
+def left_equivariant(M: FiniteMonoid, A: SubMonoid, values: Sequence[int]) -> bool:
+    """v(a*m) = a*v(m) on A x M, for the value table v of a map on M."""
     table = M.table
-    values = [f(m) for m in M.elements()]
     return all(
         values[table[a][m]] == table[a][values[m]] for a in A.members for m in M.elements()
     )
 
 
-def right_component_ok(M: FiniteMonoid, A: SubMonoid, B: SubMonoid, g: ElementMap) -> bool:
-    """The second map's one-sided conditions: g(a) = e on A, g(m*b) = g(m)*b on M x B."""
-    if any(g(a) != M.identity for a in A.members):
-        return False
+def right_equivariant(M: FiniteMonoid, B: SubMonoid, values: Sequence[int]) -> bool:
+    """v(m*b) = v(m)*b on M x B, for the value table v of a map on M."""
     table = M.table
-    values = [g(m) for m in M.elements()]
     return all(
         values[table[m][b]] == table[values[m]][b] for b in B.members for m in M.elements()
+    )
+
+
+def left_component_ok(M: FiniteMonoid, A: SubMonoid, B: SubMonoid, f: ElementMap) -> bool:
+    """The first map's one-sided conditions: f(b) = e on B, f(a*m) = a*f(m) on A x M."""
+    return all(f(b) == M.identity for b in B.members) and left_equivariant(
+        M, A, [f(m) for m in M.elements()]
+    )
+
+
+def right_component_ok(M: FiniteMonoid, A: SubMonoid, B: SubMonoid, g: ElementMap) -> bool:
+    """The second map's one-sided conditions: g(a) = e on A, g(m*b) = g(m)*b on M x B."""
+    return all(g(a) == M.identity for a in A.members) and right_equivariant(
+        M, B, [g(m) for m in M.elements()]
     )
 
 

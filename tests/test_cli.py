@@ -293,3 +293,20 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stdout == run("fac", "--in", "@s3")[1]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # verify imports its process pool only when it shards over workers
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = (
+        "import sys, monofact.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

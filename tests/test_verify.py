@@ -302,3 +302,99 @@ class TestSizeBound:
     def test_empty_population_rejected(self, bound):
         with pytest.raises(SizeBoundExceeded):
             verify_suite(bound, catalog=True)
+
+
+class TestShardedDriver:
+    """Shards of each kind's units, merged in population order, give the one-walk report."""
+
+    KEY = "2 catalog=False"
+    PLANTED = ("first-factor-necessity", "sections-bijection", "inner-convolution")
+
+    def planted_halfway(self, monkeypatch, target, pop, fail):
+        """Patch ``target`` to call ``fail`` at the units halfway through its kind and last.
+
+        Returns the halfway unit's description of the detail "planted".
+        """
+        kind, real = next((k, fn) for i, k, fn in verify._CHECKS if i == target)
+        items = pop if kind == "monoid" else list(verify._battery_pairs(pop))
+        descriptions = [unit.describe("planted") for unit in verify._UNITS[kind](items)]
+        at = (descriptions[len(descriptions) // 2], descriptions[-1])
+
+        def check(unit):
+            return fail() if unit.describe("planted") in at else real(unit)
+
+        patch_check(monkeypatch, target, check)
+        return at[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("catalog", [False, True])
+    @pytest.mark.parametrize("shards", [1, 1000])
+    def test_any_shard_count_matches_golden(self, n, catalog, shards):
+        results = verify._run_checks(verify._population(n, catalog), shards)
+        assert [r.line() for r in results] == GOLDEN_REPORTS[f"{n} catalog={catalog}"][1:-1]
+
+    def test_shards_cut_each_kind_in_order(self):
+        pop = verify._population(2, True)
+        pairs = tuple(verify._battery_pairs(pop))
+        shards = verify._shards(pop, 5)
+        assert [kind for kind, _ in shards] == ["monoid"] * 5 + ["action"] * 5 + ["inner"] * 5
+        for kind, items in (("monoid", tuple(pop)), ("action", pairs), ("inner", pairs)):
+            parts = [part for k, part in shards if k == kind]
+            assert all(parts) and sum(parts, ()) == items
+        # more shards than items: one item each, none empty
+        assert [len(part) for k, part in verify._shards(pop, 1000) if k == "monoid"] == [1] * 14
+
+    @pytest.mark.parametrize("target", PLANTED)
+    @pytest.mark.parametrize("shards", [2, 1000])
+    def test_counterexample_in_a_later_shard(self, monkeypatch, target, shards):
+        pop = verify._population(2, False)
+        at = self.planted_halfway(monkeypatch, target, pop, lambda: (1, "planted"))
+        serial = verify._run_checks(pop, 1)
+        sharded = verify._run_checks(pop, shards)
+        assert sharded == serial
+        stopped = next(c for c in sharded if c.check == target)
+        assert (stopped.passed, stopped.counterexample) == (False, at)
+        assert stopped.instances > 1
+        # every other check ran on past the stop, within its shard and after it
+        assert_golden_except(verify.VerifyReport("", tuple(sharded)), self.KEY, {target})
+
+    @pytest.mark.parametrize("target", PLANTED)
+    def test_error_in_a_later_shard_fails_only_its_check(self, monkeypatch, target):
+        pop = verify._population(2, False)
+
+        def fail():
+            raise MonoidError("planted")
+
+        self.planted_halfway(monkeypatch, target, pop, fail)
+        results = verify._run_checks(pop, 1000)
+        failed = next(c for c in results if c.check == target)
+        assert (failed.instances, failed.passed, failed.counterexample) == (0, False, "planted")
+        assert_golden_except(verify.VerifyReport("", tuple(results)), self.KEY, {target})
+
+    @pytest.mark.parametrize("shards", [1, 1000])
+    def test_other_exceptions_propagate(self, monkeypatch, shards):
+        def broken(unit):
+            raise RuntimeError("not a monoid fault")
+
+        patch_check(monkeypatch, "h1-component-count", broken)
+        with pytest.raises(RuntimeError, match="not a monoid fault"):
+            verify._run_checks(verify._population(2, False), shards)
+        with pytest.raises(RuntimeError, match="not a monoid fault"):
+            verify_suite(2, catalog=False)
+
+    def test_spawned_pool_matches_golden_and_leaves_no_worker(self, monkeypatch):
+        import multiprocessing
+
+        # two workers even on one CPU; spawned, they see none of the parent's patches
+        monkeypatch.setattr(verify, "_worker_count", lambda pop: 2)
+        patch_check(monkeypatch, "conical-bound", lambda unit: (0, "seen by a worker"))
+        assert verify_suite(3, catalog=True).lines() == GOLDEN_REPORTS["3 catalog=True"]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count(self, monkeypatch):
+        small, order4 = verify._population(2, True), verify._population(4, True)
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda _: {0, 1, 2, 3}, raising=False)
+        # 147 battery pairs pay for one worker; 1,484 for more than there are CPUs
+        assert (verify._worker_count(small), verify._worker_count(order4)) == (1, 4)
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda _: {0})
+        assert verify._worker_count(order4) == 1
