@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 from typing import IO, Sequence
 
-from .catalog import CATALOG, catalog_monoid
+from .catalog import CATALOG
 from .core import (
     _MONOID_ORDER_LIMIT,
     FiniteMonoid,
@@ -20,9 +20,10 @@ from .core import (
     units,
 )
 from .descent import descent_cohomology, enumerate_descent_cocycles, unit_valued_cocycles
-from .factorization import enumerate_factorizations, fac_over
+from .factorization import _factorizations, enumerate_factorizations, fac_over
 from .formats import (
     MonoidDocument,
+    ParseError,
     emit_document,
     emit_monoid,
     parse_action,
@@ -34,14 +35,24 @@ from .verify import verify_suite
 from .witnesses import integer_witnesses
 
 
+def _catalog_entry(name: str) -> FiniteMonoid:
+    if name not in CATALOG:
+        raise MonoidError(f"unknown catalog monoid {name!r}; have {', '.join(CATALOG)}")
+    return CATALOG[name]
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_document(ref: str) -> MonoidDocument:
     if ref.startswith("@"):
-        name = ref[1:]
-        if name not in CATALOG:
-            raise MonoidError(f"unknown catalog monoid {name!r}; have {', '.join(CATALOG)}")
-        return MonoidDocument(catalog_monoid(name), name)
+        return MonoidDocument(_catalog_entry(ref[1:]), ref[1:])
     path = Path(ref)
-    return MonoidDocument(parse_document(path.read_text()).monoid, path.stem)
+    return MonoidDocument(parse_document(_read_text(path)).monoid, path.stem)
 
 
 def _resolve_elements(M: FiniteMonoid, spec: str) -> list[int]:
@@ -87,8 +98,9 @@ def _cmd_info(args, out: IO[str]) -> int:
     print(f"group: {'yes' if M.is_group() else 'no'}", file=out)
     print(f"units: {len(unit_group)} {_fmt_set(M, unit_group.members)}", file=out)
     print(f"conical: {'yes' if len(unit_group) == 1 else 'no'}", file=out)
-    print(f"submonoids: {len(enumerate_submonoids(M))}", file=out)
-    print(f"factorizations: {len(enumerate_factorizations(M))}", file=out)
+    subs = enumerate_submonoids(M)
+    print(f"submonoids: {len(subs)}", file=out)
+    print(f"factorizations: {len(_factorizations(M, subs))}", file=out)
     return 0
 
 
@@ -159,7 +171,7 @@ def _load_action_setup(args):
     A = _load_document(args.a).monoid
     B = _load_document(args.b).monoid
     path = Path(args.action)
-    return parse_action(path.read_text(), base_dir=path.parent, actor=B, acted=A)
+    return parse_action(_read_text(path), base_dir=path.parent, actor=B, acted=A)
 
 
 def _cmd_semidirect(args, out: IO[str]) -> int:
@@ -238,12 +250,22 @@ def _cmd_witness(args, out: IO[str]) -> int:
 
 def _cmd_catalog(args, out: IO[str]) -> int:
     if args.name is not None:
-        M = catalog_monoid(args.name)
+        M = _catalog_entry(args.name)
         print(emit_monoid(M, name=args.name), end="", file=out)
         return 0
     for name, M in CATALOG.items():
         print(f"{name}: size {M.size}", file=out)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 @functools.cache
@@ -330,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("witness", help="bounded integer witnesses")
-    p.add_argument("--bound", type=int, default=1000, metavar="N")
+    p.add_argument("--bound", type=_positive_int, default=1000, metavar="N")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("catalog", help="list catalog monoids, or emit one")

@@ -390,19 +390,29 @@ def submonoid_closure(M: FiniteMonoid, generators: Iterable[int]) -> SubMonoid:
     closed, bits = [M.identity], 1 << M.identity
     for g in gens:
         if not bits >> g & 1:
-            closed, bits = _grow(M.table, closed, bits, g, M.size)
+            closed, bits = _grow(M.table, closed, bits, g, M.size)  # never None
     return SubMonoid(M, tuple(sorted(closed)))
 
 
-def _grow(table, members: list[int], bits: int, g: int, limit: int) -> tuple[list[int], int]:
-    """Close a closed set (member list and bitmask) with ``g`` added; stops past ``limit``."""
+def _grow(
+    table, members: list[int], bits: int, g: int, limit: int, floor: int = 0
+) -> tuple[list[int], int] | None:
+    """Close a closed set (member list and bitmask) with ``g`` added.
+
+    None as soon as the closure would pass ``limit`` elements or gains a new
+    element below ``floor``.
+    """
+    if len(members) >= limit:
+        return None
     grown, bits, queue = members + [g], bits | 1 << g, [g]
-    while queue and len(grown) <= limit:
+    while queue:
         y = queue.pop()
         row = table[y]
         for z in grown:
             for p in (row[z], table[z][y]):
                 if not bits >> p & 1:
+                    if p < floor or len(grown) == limit:
+                        return None
                     bits |= 1 << p
                     grown.append(p)
                     queue.append(p)
@@ -423,29 +433,35 @@ def enumerate_submonoids(M: FiniteMonoid) -> list[SubMonoid]:
 def _closed_subsets(M: FiniteMonoid, limit: int, admit: Callable) -> list[tuple[int, ...]]:
     """Member tuples of the submonoids of at most ``limit`` elements that ``admit`` accepts.
 
-    Grows each admitted submonoid by one generator at a time from {e}.  Every
-    submonoid T is reached through closures lying inside T, so pruning loses
-    nothing when ``admit`` holds on every submonoid of what it accepts.
+    Orderly generation, depth first from {e}: a submonoid C reached with last
+    generator h is extended only by elements g > h, and closure(C + g) is kept
+    only when g is the least element it adds.  So each submonoid T is built
+    exactly once, along its canonical chain C0 = {e}, Ci+1 = closure(Ci +
+    min(T - Ci)).  Every Ci lies inside T, so pruning loses nothing when
+    ``admit`` holds on every submonoid of what it accepts.
     """
-    e = M.identity
-    found = {1 << e}
-    out = [(e,)]
-    frontier = [([e], 1 << e)]
-    gens = range(M.size)
-    while frontier:
-        fresh = []
-        for ms, mask in frontier:
-            for g in gens:
-                if not mask >> g & 1:
-                    grown, bits = _grow(M.table, ms, mask, g, limit)
-                    if len(grown) <= limit and bits not in found:
-                        found.add(bits)
-                        if admit(grown):
-                            fresh.append((grown, bits))
-                            out.append(tuple(sorted(grown)))
-        frontier = fresh
-        # an element in no admitted submonoid yet is in none: its cyclic one failed
-        gens = sorted({g for ms in out for g in ms})
+    e, table = M.identity, M.table
+    # an element whose cyclic submonoid is not admitted lies in no admitted one;
+    # the cyclic submonoids that add nothing below their generator are the first steps
+    gens, stack = [], []
+    for g in range(M.size):
+        if g == e:
+            continue
+        cyc = _grow(table, [e], 1 << e, g, limit)
+        if cyc and admit(cyc[0]):
+            if min(cyc[0][1:]) == g:
+                stack.append((*cyc, len(gens) + 1))
+            gens.append(g)
+    out = [(e,)] + [tuple(sorted(ms)) for ms, _, _ in stack]
+    while stack:
+        ms, mask, start = stack.pop()
+        for i in range(start, len(gens)):
+            g = gens[i]
+            if not mask >> g & 1:
+                grown = _grow(table, ms, mask, g, limit, g)
+                if grown and admit(grown[0]):
+                    out.append(tuple(sorted(grown[0])))
+                    stack.append((*grown, i + 1))
     return out
 
 

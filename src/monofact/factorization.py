@@ -84,10 +84,23 @@ def try_factorization(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> Factorizat
 
 def enumerate_factorizations(M: FiniteMonoid) -> list[Factorization]:
     """All factorizations, sorted by (first.members, second.members)."""
-    subs = enumerate_submonoids(M)
+    return _factorizations(M, enumerate_submonoids(M))
+
+
+def _factorizations(M: FiniteMonoid, subs: Sequence[SubMonoid]) -> list[Factorization]:
+    """``enumerate_factorizations`` over the already enumerated submonoids ``subs``.
+
+    Each A is tried only against the submonoids of |M| / |A| elements.
+    """
+    by_size: dict[int, list[SubMonoid]] = {}
+    for B in subs:
+        by_size.setdefault(len(B), []).append(B)
     out = []
     for A in subs:
-        for B in subs:
+        k, rest = divmod(M.size, len(A))
+        if rest:
+            continue
+        for B in by_size.get(k, ()):
             fac = try_factorization(M, A, B)
             if fac is not None:
                 out.append(fac)

@@ -123,8 +123,8 @@ def parse_action(
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             try:
-                loaded = parse_monoid(path.read_text())
-            except OSError as exc:
+                loaded = parse_monoid(path.read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ParseError(f"cannot read {key} reference {ref!r}: {exc}") from None
         elif isinstance(ref, dict):
             loaded = parse_document(json.dumps(ref)).monoid

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,39 @@ import pytest
 from monofact import cli
 from monofact.catalog import CATALOG
 from monofact.cli import run_command
+from monofact.core import direct_product
 from monofact.formats import emit_monoid, parse_monoid
+
+# products of catalog monoids of orders 8..24, as in perfbench's cli-session
+PRODUCTS = {
+    "c2xc4": ("c2", "c4"),
+    "c3xc4": ("c3", "c4"),
+    "s3xc2": ("s3", "c2"),
+    "s3xc3": ("s3", "c3"),
+    "s3xc4": ("s3", "c4"),
+    "s3xv4": ("s3", "v4"),
+    "c4xc4": ("c4", "c4"),
+    "v4xv4": ("v4", "v4"),
+}
+LATTICE_GOLDEN = Path(__file__).parent / "goldens" / "cli_lattice.json"
+
+
+def lattice_inputs() -> dict:
+    """File stem -> monoid for the lattice listings: the catalog and the products."""
+    out = {f"cat-{name}": M for name, M in CATALOG.items()}
+    for name, (a, b) in PRODUCTS.items():
+        out[f"p-{name}"] = direct_product(CATALOG[a], CATALOG[b])
+    return out
+
+
+def lattice_argvs(path: Path, first: str) -> dict:
+    """The four lattice listings of one input file, keyed as in the golden."""
+    return {
+        "info": ("info", "--in", str(path)),
+        "submonoids": ("submonoids", "--in", str(path)),
+        "fac": ("fac", "--in", str(path)),
+        "fac --first": ("fac", "--in", str(path), "--first", first),
+    }
 
 
 def run(*argv):
@@ -234,6 +267,56 @@ class TestExitCodes:
         assert code == 3 and "error" in err
 
 
+class TestMalformedInput:
+    """Malformed input exits with the documented code; no exception escapes."""
+
+    @pytest.fixture
+    def files(self, workdir):
+        (workdir / "latin1.json").write_bytes('{"name": "\xe9"}'.encode("latin-1"))
+        (workdir / "act-latin1.json").write_bytes(b"\xff\xfe{}")
+        (workdir / "act-ref.json").write_text(
+            '{"actor": "c2.json", "acted": "latin1.json", "star": [[0, 1, 2], [0, 2, 1]]}\n'
+        )
+        return workdir
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            pytest.param(("witness", "--bound", "0"), 2, id="bound-0"),
+            pytest.param(("witness", "--bound", "-1"), 2, id="bound-negative"),
+            pytest.param(("info", "--in", "{dir}/latin1.json"), 3, id="info-not-utf8"),
+            pytest.param(("submonoids", "--in", "{dir}/latin1.json"), 3, id="submonoids-not-utf8"),
+            pytest.param(
+                ("z1", "--a", "{dir}/c3.json", "--b", "{dir}/c2.json",
+                 "--action", "{dir}/act-latin1.json"),
+                3,
+                id="action-not-utf8",
+            ),
+            pytest.param(
+                ("z1", "--a", "{dir}/c3.json", "--b", "{dir}/c2.json",
+                 "--action", "{dir}/act-ref.json"),
+                3,
+                id="action-reference-not-utf8",
+            ),
+            pytest.param(("catalog", "nope"), 3, id="catalog-unknown"),
+        ],
+    )
+    def test_exit_code(self, files, argv, code):
+        got, out, err = run(*(a.format(dir=files) for a in argv))
+        assert got == code and out == "" and "error:" in err
+
+    def test_bound_is_reported(self):
+        code, _, err = run("witness", "--bound", "0")
+        assert code == 2 and "argument --bound: must be at least 1, got 0" in err
+
+    def test_non_utf8_file_is_named(self, files):
+        code, _, err = run("info", "--in", str(files / "latin1.json"))
+        assert code == 3 and err.startswith(f"error: {files / 'latin1.json'}: not UTF-8 text")
+
+    def test_unknown_catalog_name_matches_info(self):
+        assert run("catalog", "nope") == run("info", "--in", "@nope")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -248,6 +331,30 @@ class TestDeterminism:
         first = run(*argv)
         second = run(*argv)
         assert first == second
+
+
+class TestLatticeGolden:
+    """``info``, ``submonoids``, ``fac`` and ``fac --first`` keep their exact output.
+
+    ``goldens/cli_lattice.json`` was recorded before orderly submonoid
+    generation; it pins each listing's canonical order byte for byte.
+    """
+
+    GOLDEN = json.loads(LATTICE_GOLDEN.read_text())
+
+    def test_covers_catalog_and_products(self):
+        assert set(self.GOLDEN) == set(lattice_inputs())
+
+    @pytest.mark.parametrize("stem", sorted(GOLDEN))
+    def test_listings_match(self, stem, tmp_path):
+        M = lattice_inputs()[stem]
+        path = tmp_path / f"{stem}.json"
+        path.write_text(emit_monoid(M, name=stem[4:] if stem.startswith("cat-") else None))
+        want = self.GOLDEN[stem]
+        for key, argv in lattice_argvs(path, want["first"]).items():
+            code, out, err = run(*argv)
+            assert [code, out] == want[key], key
+            assert err == ""
 
 
 class TestSharedParser:

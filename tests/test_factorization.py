@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from monofact.core import (
     ElementMap,
     ParentMismatch,
     SubMonoid,
+    _closed_subsets,
     direct_product,
     enumerate_monoids,
     enumerate_submonoids,
@@ -34,6 +36,21 @@ C2 = CATALOG["c2"]
 C4 = CATALOG["c4"]
 A3 = SubMonoid(S3, (0, 4, 5))
 T12 = SubMonoid(S3, (0, 1))
+
+# products of orders 8..24, the inputs of the cli-session benchmark
+PRODUCTS = {
+    f"{a}x{b}": direct_product(CATALOG[a], CATALOG[b])
+    for a, b in [("c2", "c4"), ("c3", "c4"), ("s3", "c2"), ("s3", "c3"),
+                 ("s3", "c4"), ("s3", "v4"), ("c4", "c4"), ("v4", "v4")]
+}
+
+
+def by_size(members):
+    return sorted(members, key=lambda ms: (len(ms), ms))
+
+
+def commutative(M):
+    return lambda ms: all(M.table[x][y] == M.table[y][x] for x in ms for y in ms)
 
 
 class TestTryFactorization:
@@ -244,3 +261,55 @@ class TestCharacterization:
     def test_set_product(self):
         assert set_product_is_all(S3, A3, T12)
         assert not set_product_is_all(C4, SubMonoid(C4, (0, 2)), SubMonoid(C4, (0,)))
+
+
+class TestOrderlyWalk:
+    """The orderly submonoid walk against the oracles, on products of order 8..24."""
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_submonoids_match_closure_walk(self, name):
+        M = PRODUCTS[name]
+        expected = by_size(oracles.submonoids_by_closure_walk(M))
+        assert [S.members for S in enumerate_submonoids(M)] == expected
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_each_submonoid_built_once(self, name):
+        M = PRODUCTS[name]
+        walk = _closed_subsets(M, M.size, lambda ms: True)
+        assert len(walk) == len(set(walk)) == len(oracles.submonoids_by_closure_walk(M))
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_hereditary_admit_prunes_exactly(self, name):
+        M = PRODUCTS[name]
+        admit = commutative(M)
+        walk = _closed_subsets(M, M.size, admit)
+        expected = [ms for ms in by_size(oracles.submonoids_by_closure_walk(M)) if admit(ms)]
+        assert by_size(walk) == expected
+        assert len(walk) == len(set(walk))
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_limit_prunes_exactly(self, name):
+        M = PRODUCTS[name]
+        subs = by_size(oracles.submonoids_by_closure_walk(M))
+        for limit in (1, 2, 3, M.size // 2, M.size - 1):
+            walk = _closed_subsets(M, limit, lambda ms: True)
+            assert by_size(walk) == [ms for ms in subs if len(ms) <= limit], limit
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_factorizations_match_pair_scan(self, name):
+        M = PRODUCTS[name]
+        ours = [(f.first.members, f.second.members) for f in enumerate_factorizations(M)]
+        assert ours == sorted(oracles.factorization_pairs(M))
+
+    @pytest.mark.parametrize("name", ["s3xc4", "s3xv4"])
+    def test_fac_over_matches_pair_scan(self, name):
+        # the subset-scan oracle is too slow at order 24
+        M = PRODUCTS[name]
+        pairs = oracles.factorization_pairs(M)
+        for A in enumerate_submonoids(M):
+            expected = sorted(b for a, b in pairs if a == A.members)
+            assert [B.members for B in fac_over(M, A)] == expected, A
+
+    def test_oracles_share_no_walk(self):
+        source = (Path(__file__).parent / "oracles.py").read_text()
+        assert "_closed_subsets" not in source and "_grow" not in source
