@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .search import search_assignments
+from .search import product_rule, search_assignments
 
 
 class MonoidError(Exception):
@@ -527,23 +527,7 @@ def enumerate_homs(B: Carrier, A: Carrier) -> list[ElementMap]:
     pinned = [(pos[carrier_identity(B)], carrier_identity(A))]
     candidates = [list(cod)] * k
     allowed = [frozenset(cod)] * k
-
-    def sweep(assign: list) -> list[tuple[int, int]] | None:
-        pins = []
-        known = [i for i in range(k) if assign[i] is not None]
-        for i in known:
-            fi = assign[i]
-            row = cod_tab[fi]
-            for j in known:
-                target = prod_pos[i][j]
-                val = row[assign[j]]
-                cur = assign[target]
-                if cur is None:
-                    pins.append((target, val))
-                elif cur != val:
-                    return None
-        return pins
-
+    sweep = product_rule(prod_pos, cod_tab, [tuple(range(len(cod_tab)))] * k)
     solutions = search_assignments(k, pinned, candidates, allowed, sweep)
     return [ElementMap(B, A, values) for values in solutions]
 

@@ -23,7 +23,7 @@ from .core import (
     units,
 )
 from .factorization import Factorization, try_factorization
-from .search import UnionFind, search_assignments
+from .search import UnionFind, equivariance_rule, search_assignments
 
 
 class NotASubgroup(MonoidError):
@@ -171,21 +171,13 @@ def enumerate_descent_cocycles(
     allowed = [frozenset(a_members)] * n
     pinned = [(a, a) for a in a_members]
 
+    # left A-equivariance pins q(a*m) from q(m)
+    equivariant = equivariance_rule([table[a] for a in a_members])
+
     def sweep(assign: list) -> list[tuple[int, int]] | None:
-        pins = []
-        # left A-equivariance pins q(a*m) from q(m)
-        for a in a_members:
-            row = table[a]
-            for m in range(n):
-                qm = assign[m]
-                if qm is None:
-                    continue
-                target, val = row[m], row[qm]
-                cur = assign[target]
-                if cur is None:
-                    pins.append((target, val))
-                elif cur != val:
-                    return None
+        pins = equivariant(assign)
+        if pins is None:
+            return None
         # q(m1*m2) = q(m1*q(m2)) links two positions once q(m2) is known
         for m2 in range(n):
             q2 = assign[m2]

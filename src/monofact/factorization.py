@@ -19,7 +19,7 @@ from .core import (
     enumerate_submonoids,
     zero_map,
 )
-from .search import search_assignments
+from .search import equivariance_rule, search_assignments
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,6 @@ def exists_left_component_map(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bo
     """
     n = M.size
     e = M.identity
-    table = M.table
     a_members = A.members
     in_b = B.member_set
     candidates = []
@@ -249,23 +248,7 @@ def exists_left_component_map(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bo
         else:
             candidates.append(non_identity)
             allowed.append(frozenset(non_identity))
-
-    def sweep(assign: list) -> list[tuple[int, int]] | None:
-        pins = []
-        for a in a_members:
-            row = table[a]
-            for m in range(n):
-                fm = assign[m]
-                if fm is None:
-                    continue
-                target, val = row[m], row[fm]
-                cur = assign[target]
-                if cur is None:
-                    pins.append((target, val))
-                elif cur != val:
-                    return None
-        return pins
-
+    sweep = equivariance_rule([M.table[a] for a in a_members])
     return bool(search_assignments(n, [(e, e)], candidates, allowed, sweep, first_only=True))
 
 

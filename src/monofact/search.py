@@ -1,13 +1,22 @@
 """Backtracking over partial assignments with constraint propagation.
 
 Every enumeration in this package (homomorphisms, cocycles, sections,
-small Cayley tables) is a search for total maps ``position -> value``
-subject to equational constraints.  The engine below assigns free
-positions in index order, and after every placement runs a caller
-supplied ``sweep`` that re-examines the constraints: a sweep may report
-a conflict, or pin further positions whose values are now forced.
+component maps, small Cayley tables) is a search for total maps
+``position -> value`` subject to equational constraints.  The engine
+below assigns free positions in index order, and after every placement
+runs a caller supplied ``sweep(assign)``: None reports a conflict, else
+it returns the ``(position, value)`` pins the assignment forces.
 Solutions come out in lexicographic order of the full value tuple,
 which is the canonical order used throughout.
+
+Callers declare their equation with a sweep builder: ``product_rule``
+for ``f(prod[i][j]) = table[f(i)][twist[i][f(j)]]`` (homomorphisms and
+sections with identity twist, 1-cocycles twisted by the action) and
+``equivariance_rule`` for ``f(row[m]) = row[f(m)]`` (component maps and
+descent cocycles).  Only the scan is shared, so routes that verify
+cross-checks keep their own equations.  The sweep stays a plain
+callable argument so that a caller can wrap it, e.g. to count sweeps,
+pins and conflicts, without the engine knowing.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 # sweep(assign) -> None on conflict, else implied (position, value) pins
 Sweep = Callable[[list], "list[tuple[int, int]] | None"]
+Table = Sequence[Sequence[int]]
 
 
 def search_assignments(
@@ -49,7 +59,6 @@ def _settle(
 ) -> bool:
     """Place ``pending`` pins and propagate to a fixpoint; False on conflict."""
     while True:
-        progressed = False
         for pos, val in pending:
             cur = assign[pos]
             if cur is not None:
@@ -60,16 +69,13 @@ def _settle(
                 return False
             assign[pos] = val
             trail.append(pos)
-            progressed = True
         implied = sweep(assign)
         if implied is None:
             return False
+        # only pins that change something go round again, so this ends
         pending = [(p, v) for p, v in implied if assign[p] != v]
         if not pending:
             return True
-        if not progressed and all(assign[p] is not None for p, _ in pending):
-            # every remaining pin contradicts an existing value
-            return False
 
 
 def _extend(
@@ -97,6 +103,46 @@ def _extend(
         for p in trail:
             assign[p] = None
     return False
+
+
+def product_rule(prod: Table, table: Table, twist: Table) -> Sweep:
+    """Sweep for ``f(prod[i][j]) = table[f(i)][twist[i][f(j)]]`` at assigned i, j."""
+
+    def sweep(assign: list) -> list[tuple[int, int]] | None:
+        pins = []
+        known = [i for i, v in enumerate(assign) if v is not None]
+        for i in known:
+            row, targets, tw = table[assign[i]], prod[i], twist[i]
+            for j in known:
+                target, val = targets[j], row[tw[assign[j]]]
+                cur = assign[target]
+                if cur is None:
+                    pins.append((target, val))
+                elif cur != val:
+                    return None
+        return pins
+
+    return sweep
+
+
+def equivariance_rule(rows: Table) -> Sweep:
+    """Sweep for ``f(row[m]) = row[f(m)]`` at every row and assigned m."""
+
+    def sweep(assign: list) -> list[tuple[int, int]] | None:
+        pins = []
+        for row in rows:
+            for m, fm in enumerate(assign):
+                if fm is None:
+                    continue
+                target, val = row[m], row[fm]
+                cur = assign[target]
+                if cur is None:
+                    pins.append((target, val))
+                elif cur != val:
+                    return None
+        return pins
+
+    return sweep
 
 
 class UnionFind:

@@ -30,7 +30,7 @@ from .core import (
 )
 from .descent import CohomologyClasses, _orbit_classes
 from .factorization import Factorization, fac_over, try_factorization
-from .search import search_assignments
+from .search import product_rule, search_assignments
 
 
 class AxiomViolation(MonoidError):
@@ -249,30 +249,12 @@ def z1(act: MonoidAction, unit_valued: bool = False) -> list[Cocycle1]:
     B, A = act.actor, act.acted
     if B.size > _COCYCLE_SIZE_LIMIT or A.size > _COCYCLE_SIZE_LIMIT:
         raise SizeBoundExceeded(f"1-cocycle search capped at order {_COCYCLE_SIZE_LIMIT}")
-    star = act.star
-    atab, btab = A.table, B.table
     nb = B.size
     pool = units(A).members if unit_valued else tuple(A.elements())
     candidates = [list(pool)] * nb
     allowed = [frozenset(pool)] * nb
     pinned = [(B.identity, A.identity)]
-
-    def sweep(assign: list) -> list[tuple[int, int]] | None:
-        pins = []
-        known = [b for b in range(nb) if assign[b] is not None]
-        for b1 in known:
-            c1 = assign[b1]
-            row1 = btab[b1]
-            for b2 in known:
-                target = row1[b2]
-                val = atab[c1][star[b1][assign[b2]]]
-                cur = assign[target]
-                if cur is None:
-                    pins.append((target, val))
-                elif cur != val:
-                    return None
-        return pins
-
+    sweep = product_rule(B.table, A.table, act.star)
     solutions = search_assignments(nb, pinned, candidates, allowed, sweep)
     unit_set = units(A).member_set
     return [
@@ -371,26 +353,11 @@ def sections(sd: SemidirectProduct) -> SectionsReport:
     nb = B.size
     pos_of_pair = sd.pair_index
     fibers = [[pos_of_pair(a, b) for a in A.elements()] for b in range(nb)]
-    ptab, btab = product.table, B.table
+    ptab = product.table
     pinned = [(B.identity, product.identity)]
     candidates = [sorted(f) for f in fibers]
     allowed = [frozenset(f) for f in fibers]
-
-    def sweep(assign: list) -> list[tuple[int, int]] | None:
-        pins = []
-        known = [b for b in range(nb) if assign[b] is not None]
-        for b1 in known:
-            row = ptab[assign[b1]]
-            for b2 in known:
-                target = btab[b1][b2]
-                val = row[assign[b2]]
-                cur = assign[target]
-                if cur is None:
-                    pins.append((target, val))
-                elif cur != val:
-                    return None
-        return pins
-
+    sweep = product_rule(B.table, ptab, [tuple(product.elements())] * nb)
     found = search_assignments(nb, pinned, candidates, allowed, sweep)
     secs = tuple(ElementMap(B, product, values) for values in found)
 

@@ -229,19 +229,12 @@ class _MonoidObjects:
         return self._once(("unit_valued", A, B), lambda: unit_valued_cocycles(self.M, A, B))
 
     def retractions(self, S: SubMonoid) -> tuple[ElementMap, ...]:
-        """All homomorphic retractions of M onto S (ambient values)."""
-        return self._once(("retractions", S), lambda: self._scan_retractions(S))
+        """All homomorphic retractions of M onto S: homs M -> S fixing S pointwise."""
 
-    def _scan_retractions(self, S: SubMonoid) -> Iterator[ElementMap]:
-        M = self.M
-        free = [m for m in M.elements() if m not in S]
-        for combo in itertools.product(S.members, repeat=len(free)):
-            values = list(range(M.size))
-            for pos, val in zip(free, combo):
-                values[pos] = val
-            candidate = ElementMap(M, S, tuple(values))
-            if candidate.is_homomorphism():
-                yield candidate
+        def fixes_s(f: ElementMap) -> bool:
+            return all(f.values[s] == s for s in S.members)
+
+        return self._once(("retractions", S), lambda: filter(fixes_s, enumerate_homs(self.M, S)))
 
 
 class _ActionObjects:

@@ -159,6 +159,68 @@ def z1_values(act) -> list[tuple[int, ...]]:
     return out
 
 
+def section_values(sd) -> list[tuple[int, ...]]:
+    """Homomorphisms B -> A x| B that pick a point of each fibre over B."""
+    B, P = sd.action.actor, sd.product
+    fibres = [[p for p in P.elements() if sd.proj_b(p) == b] for b in B.elements()]
+    out = []
+    for values in itertools.product(*fibres):
+        if values[B.identity] != P.identity:
+            continue
+        if all(
+            values[B.table[x][y]] == P.table[values[x]][values[y]]
+            for x in B.elements()
+            for y in B.elements()
+        ):
+            out.append(values)
+    return out
+
+
+def retraction_values(M: FiniteMonoid, S: SubMonoid) -> list[tuple[int, ...]]:
+    """Homomorphisms M -> S fixing S pointwise, by trying all |S|^(n-|S|) fillings."""
+    free = [m for m in M.elements() if m not in S.member_set]
+    out = []
+    for combo in itertools.product(S.members, repeat=len(free)):
+        values = list(M.elements())
+        for pos, val in zip(free, combo):
+            values[pos] = val
+        if all(
+            values[M.table[x][y]] == M.table[values[x]][values[y]]
+            for x in M.elements()
+            for y in M.elements()
+        ):
+            out.append(tuple(values))
+    return out
+
+
+def component_map_exists(M: FiniteMonoid, A: SubMonoid, B: SubMonoid, side: str) -> bool:
+    """Full scan for an equivariant component map with a prescribed kernel.
+
+    ``left``: a map f: M -> A with f(a*m) = a*f(m) whose kernel f^-1(e) is B.
+    ``right``: a map g: M -> B with g(m*b) = g(m)*b whose kernel is A.
+    """
+    e, table = M.identity, M.table
+    target, kernel = (A, B) if side == "left" else (B, A)
+    others = [t for t in target.members if t != e]
+    domains = [[e] if m in kernel.member_set else others for m in M.elements()]
+    for values in itertools.product(*domains):
+        if side == "left":
+            ok = all(
+                values[table[a][m]] == table[a][values[m]]
+                for a in A.members
+                for m in M.elements()
+            )
+        else:
+            ok = all(
+                values[table[m][b]] == table[values[m]][b]
+                for m in M.elements()
+                for b in B.members
+            )
+        if ok:
+            return True
+    return False
+
+
 def monoid_tables_with_fixed_identity(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Every associative table on 0..n-1 whose identity is element 0."""
     out = []

@@ -20,6 +20,8 @@ from monofact.factorization import (
     FactorizationFailure,
     characterize_factorization,
     enumerate_factorizations,
+    exists_left_component_map,
+    exists_right_component_map,
     fac_over,
     factorization_attempt,
     first_factor_filter,
@@ -261,6 +263,24 @@ class TestCharacterization:
     def test_set_product(self):
         assert set_product_is_all(S3, A3, T12)
         assert not set_product_is_all(C4, SubMonoid(C4, (0, 2)), SubMonoid(C4, (0,)))
+
+
+class TestComponentMapsMatchScan:
+    """The equivariant component-map searches against a scan of kernel-respecting maps."""
+
+    @pytest.mark.parametrize(
+        "M", [pytest.param(M, id=name) for name, M in verify._population(3, True)]
+    )
+    def test_every_submonoid_pair(self, M):
+        subs = enumerate_submonoids(M)
+        for A in subs:
+            for B in subs:
+                assert exists_left_component_map(M, A, B) == oracles.component_map_exists(
+                    M, A, B, "left"
+                ), (A.members, B.members)
+                assert exists_right_component_map(M, A, B) == oracles.component_map_exists(
+                    M, A, B, "right"
+                ), (A.members, B.members)
 
 
 class TestOrderlyWalk:

@@ -169,6 +169,10 @@ class TestZ1:
         ]:
             assert [c.values for c in z1(act)] == sorted(oracles.z1_values(act))
 
+    def test_matches_oracle_on_battery(self):
+        for desc, act in verify._action_population(verify._population(3, True)):
+            assert [c.values for c in z1(act)] == oracles.z1_values(act), desc
+
     def test_always_contains_zero(self):
         act = validate_action(C2, C4, [[0, 1, 2, 3], [0, 3, 2, 1]])
         assert (0, 0) in [c.values for c in z1(act)]
@@ -389,6 +393,14 @@ class TestSections:
         for f in sections(sd).sections:
             assert f.is_homomorphism()
             assert all(sd.proj_b(f(b)) == b for b in C2.elements())
+
+    def test_match_fibre_scan_on_battery(self):
+        actions = verify._action_population(verify._population(3, True))
+        assert len(actions) == 978
+        for desc, act in actions:
+            sd = semidirect(act.acted, act, act.actor)
+            found = [f.values for f in sections(sd).sections]
+            assert found == oracles.section_values(sd), desc
 
 
 class TestFacFromZ1:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from monofact import verify
 from monofact.core import (
     ElementMap,
@@ -241,6 +242,19 @@ class TestActionBattery:
         assert per_run == len(verify._population(2, False))
         assert verify_suite(2, catalog=False).lines() == first
         assert len(calls) == 2 * per_run
+
+
+class TestRetractions:
+    def test_match_fill_scan(self):
+        """The hom search filtered to maps fixing S gives the scan's list, in order."""
+        total = 0
+        for name, M in verify._population(4, True):
+            u = verify._MonoidObjects(name, M)
+            for S in u.subs:
+                got = [f.values for f in u.retractions(S)]
+                assert got == oracles.retraction_values(M, S), (name, S.members)
+                total += len(got)
+        assert total == 305
 
 
 class TestPartnerLookups:
