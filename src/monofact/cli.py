@@ -19,7 +19,8 @@ from .core import (
     submonoid_closure,
     units,
 )
-from .descent import descent_cohomology, enumerate_descent_cocycles, unit_valued_cocycles
+from .descent import CohomologyClasses, descent_cohomology
+from .descent import enumerate_descent_cocycles, unit_valued_cocycles
 from .factorization import _factorizations, enumerate_factorizations, fac_over
 from .formats import (
     MonoidDocument,
@@ -156,15 +157,18 @@ def _cmd_cohomology(args, out: IO[str]) -> int:
     A = _resolve_submonoid(M, args.sub)
     B = _resolve_submonoid(M, args.unit_on) if args.unit_on is not None else None
     classes = descent_cohomology(M, A, restrict_unit_on=B)
-    print(
-        f"classes: {classes.class_count} ({len(classes.objects)} cocycles)", file=out
-    )
+    _print_classes(M, classes, out)
+    return 1 if args.strict and not classes.objects else 0
+
+
+def _print_classes(M: FiniteMonoid, classes: CohomologyClasses, out: IO[str]) -> None:
+    """The class count, then each class's cocycles as values in ``M``."""
+    print(f"classes: {classes.class_count} ({len(classes.objects)} cocycles)", file=out)
     for c, members in enumerate(classes.classes()):
         marker = " (base)" if classes.base_class == c else ""
         print(f"  class {c}{marker}:", file=out)
         for i in members:
             print(f"    {_fmt_values(M, classes.objects[i].values)}", file=out)
-    return 1 if args.strict and not classes.objects else 0
 
 
 def _load_action_setup(args):
@@ -210,14 +214,7 @@ def _cmd_z1(args, out: IO[str]) -> int:
 
 def _cmd_h1(args, out: IO[str]) -> int:
     act = _load_action_setup(args)
-    classes = _h1(act, unit_valued=args.units)
-    A = act.acted
-    print(f"classes: {classes.class_count} ({len(classes.objects)} cocycles)", file=out)
-    for c, members in enumerate(classes.classes()):
-        marker = " (base)" if classes.base_class == c else ""
-        print(f"  class {c}{marker}:", file=out)
-        for i in members:
-            print(f"    {_fmt_values(A, classes.objects[i].values)}", file=out)
+    _print_classes(act.acted, _h1(act, unit_valued=args.units), out)
     return 0
 
 

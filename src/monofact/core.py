@@ -126,12 +126,12 @@ class FiniteMonoid:
         #{y : xy = x}, #{y : yx = x}); an isomorphism maps x to an element
         with the same tuple.  Only the identity is an idempotent unit.
         """
-        t, e = self.table, self.identity
+        t, inv = self.table, self.inverses
         rng = range(len(t))
         cols = [tuple(row[x] for row in t) for x in rng]
         return tuple(
             (
-                any(t[x][y] == e == t[y][x] for y in rng),
+                inv[x] is not None,
                 t[x][x] == x,
                 len(set(t[x])),
                 len(set(cols[x])),
@@ -144,21 +144,27 @@ class FiniteMonoid:
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
+    @cached_property
+    def inverses(self) -> tuple[int | None, ...]:
+        """``inverses[x]`` is the two-sided inverse of x, or None.
+
+        A unit of a finite monoid has finite order, so its inverse is one of
+        its powers and lies in every submonoid that holds the unit.
+        """
+        t, e = self.table, self.identity
+        rng = range(len(t))
+        return tuple(next((y for y in rng if t[x][y] == e == t[y][x]), None) for x in rng)
+
     def inverse(self, x: int) -> int | None:
         """Two-sided inverse of ``x``, or None."""
-        e = self.identity
-        row = self.table[x]
-        for y in self.elements():
-            if row[y] == e and self.table[y][x] == e:
-                return y
-        return None
+        return self.inverses[x]
 
     def is_commutative(self) -> bool:
         t = self.table
         return all(t[x][y] == t[y][x] for x in self.elements() for y in self.elements())
 
     def is_group(self) -> bool:
-        return all(self.inverse(x) is not None for x in self.elements())
+        return None not in self.inverses
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
@@ -355,30 +361,20 @@ def from_table(
 def units(c: Carrier) -> SubMonoid:
     """The group of invertible elements, as a submonoid of the ambient monoid.
 
-    For a ``SubMonoid`` argument the inverse must itself lie in the subset.
+    An inverse lies in every submonoid that holds its unit, so the units of
+    a ``SubMonoid`` are its members that are units of the parent.
     """
     parent = carrier_monoid(c)
-    elems = carrier_elements(c)
-    inside = frozenset(elems)
-    e = parent.identity
-    table = parent.table
-    found = []
-    for x in elems:
-        for y in elems:
-            if table[x][y] == e and table[y][x] == e and y in inside:
-                found.append(x)
-                break
-    return SubMonoid(parent, tuple(sorted(found)))
+    inv = parent.inverses
+    return SubMonoid(parent, tuple(x for x in c.members if inv[x] is not None))
 
 
 def inverse_in(c: Carrier, x: int) -> int:
     """The inverse of ``x`` inside the carrier; raises NotInvertible."""
-    parent = carrier_monoid(c)
-    e = parent.identity
-    for y in carrier_elements(c):
-        if parent.table[x][y] == e and parent.table[y][x] == e:
-            return y
-    raise NotInvertible(f"element {x} has no inverse in the carrier")
+    y = carrier_monoid(c).inverses[x] if x in c.positions else None
+    if y is None:
+        raise NotInvertible(f"element {x} has no inverse in the carrier")
+    return y
 
 
 def submonoid_closure(M: FiniteMonoid, generators: Iterable[int]) -> SubMonoid:
@@ -466,14 +462,11 @@ def _closed_subsets(M: FiniteMonoid, limit: int, admit: Callable) -> list[tuple[
 
 
 def is_subgroup(M: FiniteMonoid, S: SubMonoid) -> bool:
-    """True iff every element of ``S`` has its inverse inside ``S``."""
+    """True iff every element of ``S`` is a unit; its inverse, a power of it, is in ``S``."""
     if S.parent != M:
         raise ParentMismatch("submonoid belongs to a different monoid")
-    e = M.identity
-    table = M.table
-    return all(
-        any(table[x][y] == e and table[y][x] == e for y in S.members) for x in S.members
-    )
+    inv = M.inverses
+    return all(inv[x] is not None for x in S.members)
 
 
 def opposite(M: FiniteMonoid) -> FiniteMonoid:

@@ -15,6 +15,7 @@ from .core import (
     FiniteMonoid,
     MonoidError,
     NotInvertible,
+    ParentMismatch,
     SizeBoundExceeded,
     SubMonoid,
     inverse_in,
@@ -23,7 +24,7 @@ from .core import (
     units,
 )
 from .factorization import Factorization, try_factorization
-from .search import UnionFind, equivariance_rule, search_assignments
+from .search import equivariance_rule, search_assignments
 
 
 class NotASubgroup(MonoidError):
@@ -109,6 +110,8 @@ def is_descent_cocycle(
     M: FiniteMonoid, A: SubMonoid, q: ElementMap, side: str = "left"
 ) -> tuple[bool, Violation | None]:
     """Check the three cocycle conditions pointwise; first violation wins."""
+    if A.parent != M:
+        raise ParentMismatch("coefficient submonoid belongs to a different monoid")
     table = M.table
     f = [q(m) for m in M.elements()]
     if side == "left":
@@ -152,6 +155,8 @@ def enumerate_descent_cocycles(
     The right-side search runs the left-side machinery on the opposite
     monoid; value tables carry over verbatim.
     """
+    if A.parent != M:
+        raise ParentMismatch("coefficient submonoid belongs to a different monoid")
     if side == "right":
         Mop = opposite(M)
         mirrored = enumerate_descent_cocycles(Mop, SubMonoid(Mop, A.members), "left")
@@ -265,29 +270,47 @@ def conjugate_second_factor(a0: int, B: SubMonoid) -> SubMonoid:
 
 
 def _orbit_classes(
-    objects: Sequence, group_members: Sequence[int], image: Callable[[int, int], object]
-) -> tuple[tuple[int, ...], tuple, tuple[tuple[int, int, int], ...]]:
-    """Orbit partition of a verified group action, with morphism witnesses.
+    objects: Sequence,
+    keys: Sequence,
+    group: Sequence[int],
+    image: Callable[[int, int], object],
+    base_index: int | None = None,
+) -> CohomologyClasses:
+    """Orbits of a group action on ``objects``, with every morphism as a witness.
 
-    ``image(g, i)`` is the object that g carries ``objects[i]`` to.
+    ``keys[i]`` identifies ``objects[i]`` and ``image(g, i)`` is the key of
+    the object that g carries it to.  The orbit of an object under a group
+    is its set of images, so each class is the image set of its least
+    member, and classes are numbered in that order.  A morphism that leaves
+    its class cannot come from a group action and raises NotAnAction.  The
+    base class, if any, is the class of ``objects[base_index]``.
     """
-    index = {obj: i for i, obj in enumerate(objects)}
-    dsu = UnionFind(len(objects))
-    morphisms = []
-    for i, obj in enumerate(objects):
-        for g in group_members:
+    index = {key: i for i, key in enumerate(keys)}
+    class_of: list[int | None] = [None] * len(keys)
+    representatives = []
+    witnesses = []
+    for i, key in enumerate(keys):
+        targets = []
+        for g in group:
             j = index.get(image(g, i))
             if j is None:
-                raise NotAnAction(f"action escapes the object set at ({g}, {obj!r})")
-            morphisms.append((i, g, j))
-            dsu.union(i, j)
-    groups = dsu.groups()
-    class_of = [0] * len(objects)
-    for c, grp in enumerate(groups):
-        for i in grp:
-            class_of[i] = c
-    representatives = tuple(objects[grp[0]] for grp in groups)
-    return tuple(class_of), representatives, tuple(morphisms)
+                raise NotAnAction(f"action escapes the object set at ({g}, {key!r})")
+            targets.append(j)
+        new = class_of[i] is None
+        if new:
+            class_of[i] = len(representatives)
+            representatives.append(objects[i])
+        c = class_of[i]
+        for g, j in zip(group, targets):
+            if new and class_of[j] is None:
+                class_of[j] = c
+            elif class_of[j] != c:
+                raise NotAnAction(f"not a group action: ({g}, {key!r}) leaves its orbit")
+            witnesses.append((i, g, j))
+    base_class = class_of[base_index] if base_index is not None else None
+    return CohomologyClasses(
+        tuple(objects), tuple(class_of), tuple(representatives), tuple(witnesses), base_class
+    )
 
 
 def descent_cohomology(
@@ -298,28 +321,16 @@ def descent_cohomology(
     With ``restrict_unit_on=B`` the orbits are taken on the unit-valued
     subset and pointed by the class of the component map of (A, B).
     """
-    base_values = None
-    if restrict_unit_on is not None:
-        fac = try_factorization(M, A, restrict_unit_on)
-        if fac is None:
-            raise NotAFactorization(
-                f"({A.members}, {restrict_unit_on.members}) does not factorize the monoid"
-            )
-        cocycles = unit_valued_cocycles(M, A, restrict_unit_on)
-        base_values = fac.to_first.values
-    else:
+    if restrict_unit_on is None:
         cocycles = enumerate_descent_cocycles(M, A, "left")
-    unit_members = units(A).members
-    class_of, representatives, witnesses = _orbit_classes(
-        cocycles, unit_members, lambda a0, i: star_act(a0, cocycles[i])
-    )
-    base_class = None
-    if base_values is not None:
-        base_index = next(i for i, q in enumerate(cocycles) if q.values == base_values)
-        base_class = class_of[base_index]
-    return CohomologyClasses(
-        tuple(cocycles), class_of, representatives, witnesses, base_class
-    )
+    else:  # raises NotAFactorization unless (A, B) factorizes
+        cocycles = unit_valued_cocycles(M, A, restrict_unit_on)
+    keys = [q.values for q in cocycles]
+    base_index = None
+    if restrict_unit_on is not None:
+        base_index = keys.index(try_factorization(M, A, restrict_unit_on).to_first.values)
+    image = lambda a0, i: star_act(a0, cocycles[i]).values
+    return _orbit_classes(cocycles, keys, units(A).members, image, base_index)
 
 
 def groupoid_components(
@@ -356,11 +367,5 @@ def groupoid_components(
                 j = pos2[i]
                 if row12[i] != (action(g1, row2[i]) if j is None else row1[j]):
                     raise NotAnAction(f"composition fails at ({g1}, {g2}, {x!r})")
-    class_of, _, morphisms = _orbit_classes(
-        objs, acting_group.members, lambda g, i: images[g][i]
-    )
-    grouped: dict[int, list[int]] = {}
-    for i, c in enumerate(class_of):
-        grouped.setdefault(c, []).append(i)
-    components = tuple(tuple(grouped[c]) for c in sorted(grouped))
-    return ActionGroupoid(objs, acting_group, morphisms, components)
+    orbits = _orbit_classes(objs, objs, acting_group.members, lambda g, i: images[g][i])
+    return ActionGroupoid(objs, acting_group, orbits.witnesses, orbits.classes())

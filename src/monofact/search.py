@@ -144,29 +144,3 @@ def equivariance_rule(rows: Table) -> Sweep:
 
     return sweep
 
-
-class UnionFind:
-    """Partition of ``range(n)`` with path-splitting finds."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x, parent[x] = parent[x], parent[parent[x]]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        """Components as sorted tuples, ordered by least member."""
-        by_root: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            by_root.setdefault(self.find(x), []).append(x)
-        return tuple(tuple(sorted(g)) for _, g in sorted(by_root.items()))

@@ -10,7 +10,7 @@ unit-valued homomorphisms, and the conical uniqueness bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .core import (
     Carrier,
@@ -18,6 +18,7 @@ from .core import (
     FiniteMonoid,
     MonoidError,
     MonoidIso,
+    ParentMismatch,
     SizeBoundExceeded,
     SubMonoid,
     carrier_elements,
@@ -266,31 +267,6 @@ def z1(act: MonoidAction, unit_valued: bool = False) -> list[Cocycle1]:
 Values = tuple[int, ...]
 
 
-def _unit_orbit_classes(
-    objects: Sequence,
-    unit_members: Sequence[int],
-    move: Callable[[int, Values], Values],
-    base_index: int | None,
-) -> CohomologyClasses:
-    """Orbits of a unit-group action on maps, keyed by their value tuples.
-
-    ``move(u, values)`` is the value tuple of the object that the unit u
-    carries the given one to; the witnesses are these orbit morphisms.
-    """
-    values = [obj.values for obj in objects]
-    class_of, _, witnesses = _orbit_classes(
-        values, unit_members, lambda u, i: move(u, values[i])
-    )
-    first: dict[int, int] = {}
-    for i, c in enumerate(class_of):
-        first.setdefault(c, i)
-    representatives = tuple(objects[i] for i in first.values())
-    base_class = class_of[base_index] if base_index is not None else None
-    return CohomologyClasses(
-        tuple(objects), class_of, representatives, witnesses, base_class
-    )
-
-
 def h1(
     act: MonoidAction,
     unit_valued: bool = False,
@@ -309,20 +285,18 @@ def h1(
     elif any(c.action != act for c in cocycles):
         raise ActionMismatch("cocycle belongs to a different action")
     A, B = act.acted, act.actor
-    atab, star = A.table, act.star
-    unit_members = units(A).members
-    inverse = {a0: inverse_in(A, a0) for a0 in unit_members}
+    atab, star, inverse = A.table, act.star, A.inverses
+    keys = [c.values for c in cocycles]
     zero_values = (A.identity,) * B.size
-    base_index = next((i for i, c in enumerate(cocycles) if c.values == zero_values), None)
-    if base_index is None:
+    if zero_values not in keys:
         raise ActionMismatch("the cocycles lack the zero cocycle")
 
-    def move(a0: int, values: Values) -> Values:
+    def move(a0: int, i: int) -> Values:
         # solve chi(b) * (b . a0) = a0 * chi'(b) for chi'
         inv = inverse[a0]
-        return tuple(atab[inv][atab[v][star[b][a0]]] for b, v in enumerate(values))
+        return tuple(atab[inv][atab[v][star[b][a0]]] for b, v in enumerate(keys[i]))
 
-    return _unit_orbit_classes(cocycles, unit_members, move, base_index)
+    return _orbit_classes(cocycles, keys, units(A).members, move, keys.index(zero_values))
 
 
 @dataclass(frozen=True)
@@ -375,18 +349,15 @@ def sections(sd: SemidirectProduct) -> SectionsReport:
     except KeyError as exc:
         raise InternalInconsistency(f"section/cocycle correspondence broke: {exc}") from None
 
-    unit_members = units(A).members
-    jA = sd.embed_a
-    embedded_inverse = {a0: jA(inverse_in(A, a0)) for a0 in unit_members}
-    zero_section = section_of_cocycle[
-        next(i for i, c in enumerate(cocycles) if c.values == (A.identity,) * nb)
-    ]
+    jA, inverse = sd.embed_a, A.inverses
+    keys = [s.values for s in secs]
+    zero_section = section_of_cocycle[cocycle_index[(A.identity,) * nb]]
 
-    def conjugate(a0: int, values: Values) -> Values:
-        u, u_inv = jA(a0), embedded_inverse[a0]
-        return tuple(ptab[ptab[u][v]][u_inv] for v in values)
+    def conjugate(a0: int, i: int) -> Values:
+        u, u_inv = jA(a0), jA(inverse[a0])
+        return tuple(ptab[ptab[u][v]][u_inv] for v in keys[i])
 
-    classes = _unit_orbit_classes(secs, unit_members, conjugate, zero_section)
+    classes = _orbit_classes(secs, keys, units(A).members, conjugate, zero_section)
     return SectionsReport(secs, classes, cocycles, section_of_cocycle, cocycle_of_section)
 
 
@@ -423,6 +394,8 @@ def normality_check(
     """Whether x*N is contained in N*x (left), the reverse (right), or both."""
     if side not in ("left", "right", "both"):
         raise ValueError("side must be 'left', 'right' or 'both'")
+    if N.parent != M or isinstance(X, SubMonoid) and X.parent != M:
+        raise ParentMismatch("submonoids must belong to the monoid being tested")
     xs = X.members if isinstance(X, SubMonoid) else tuple(X)
     table = M.table
     for x in xs:
@@ -648,15 +621,15 @@ def inner_action_and_convolution(
     pointed_ok = homs[convolution_of[zero_pos]].values == kappa.values
 
     cocycle_classes = h1(act, cocycles=cocycles)
-    unit_members = units(A).members
-    inverse = {a0: inverse_in(A, a0) for a0 in unit_members}
+    inverse = A.inverses
+    keys = [h.values for h in homs]
 
-    def conjugate(a0: int, values: Values) -> Values:
+    def conjugate(a0: int, i: int) -> Values:
         inv = inverse[a0]
-        return tuple(atab[atab[a0][v]][inv] for v in values)
+        return tuple(atab[atab[a0][v]][inv] for v in keys[i])
 
     kappa_pos = hom_index[kappa.values]
-    hom_classes = _unit_orbit_classes(homs, unit_members, conjugate, kappa_pos)
+    hom_classes = _orbit_classes(homs, keys, units(A).members, conjugate, kappa_pos)
 
     induced: dict[int, int] = {}
     induced_ok = True

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from monofact.core import ElementMap, FiniteMonoid, MonoidIso, SubMonoid, units
+from monofact.core import ElementMap, FiniteMonoid, MonoidIso, NotInvertible, SubMonoid, units
 
 
 def associativity_holds(table) -> bool:
@@ -29,13 +29,34 @@ def identity_of(table):
     return None
 
 
-def units_of(M: FiniteMonoid) -> set[int]:
+def inverse_by_scan(M: FiniteMonoid, x: int) -> int | None:
+    """Two-sided inverse of x by scanning its row and column, or None."""
     e = M.identity
-    return {
-        x
-        for x in M.elements()
-        if any(M.table[x][y] == e and M.table[y][x] == e for y in M.elements())
-    }
+    for y in M.elements():
+        if M.table[x][y] == e and M.table[y][x] == e:
+            return y
+    return None
+
+
+def units_of(c) -> set[int]:
+    """Members of a monoid or submonoid whose inverse lies among the same members."""
+    M = c.parent if isinstance(c, SubMonoid) else c
+    e, t = M.identity, M.table
+    return {x for x in c.members if any(t[x][y] == e == t[y][x] for y in c.members)}
+
+
+def inverse_in_by_scan(c, x: int) -> int:
+    """The inverse of x among a carrier's members; raises NotInvertible."""
+    M = c.parent if isinstance(c, SubMonoid) else c
+    e = M.identity
+    for y in c.members:
+        if M.table[x][y] == e and M.table[y][x] == e:
+            return y
+    raise NotInvertible(f"element {x} has no inverse in the carrier")
+
+
+def is_subgroup_by_scan(S: SubMonoid) -> bool:
+    return units_of(S) == S.member_set
 
 
 def submonoids_by_closure_walk(M: FiniteMonoid) -> set[tuple[int, ...]]:

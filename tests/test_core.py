@@ -13,6 +13,7 @@ from monofact.core import (
     MonoidError,
     NoIdentity,
     NotAssociative,
+    NotInvertible,
     SizeBoundExceeded,
     SubMonoid,
     _relabeled_table,
@@ -25,6 +26,7 @@ from monofact.core import (
     find_isomorphism,
     from_table,
     identity_map,
+    inverse_in,
     is_subgroup,
     opposite,
     submonoid_closure,
@@ -203,6 +205,36 @@ class TestIsSubgroup:
 
     def test_c4_half(self):
         assert is_subgroup(C4, SubMonoid(C4, (0, 2)))
+
+
+class TestInverseTable:
+    """The cached inverse table against the row-and-column scans it replaced."""
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except NotInvertible as exc:
+            return str(exc)
+
+    def test_matches_scans_on_every_submonoid(self):
+        population = [M for n in range(1, 5) for M in enumerate_monoids(n, up_to_iso=True)]
+        population += list(CATALOG.values())
+        seen = set()
+        for M in population:
+            inverses = [oracles.inverse_by_scan(M, x) for x in M.elements()]
+            assert [M.inverse(x) for x in M.elements()] == inverses
+            assert M.is_group() == (None not in inverses)
+            for c in [M, *enumerate_submonoids(M)]:
+                assert set(units(c).members) == oracles.units_of(c)
+                for x in M.elements():
+                    ours = self.outcome(lambda: inverse_in(c, x))
+                    assert ours == self.outcome(lambda: oracles.inverse_in_by_scan(c, x))
+                    seen.add(type(ours))
+                if isinstance(c, SubMonoid):
+                    assert is_subgroup(M, c) == oracles.is_subgroup_by_scan(c)
+                    seen.add(is_subgroup(M, c))
+        assert seen == {int, str, True, False}
 
 
 class TestOpposite:

@@ -7,8 +7,10 @@ from monofact.core import (
     ElementMap,
     MonoidError,
     NotInvertible,
+    ParentMismatch,
     SubMonoid,
     enumerate_monoids,
+    enumerate_submonoids,
     units,
     zero_map,
 )
@@ -19,6 +21,7 @@ from monofact.descent import (
     NotAFactorization,
     NotASubgroup,
     NotAnAction,
+    _orbit_classes,
     cocycle_kernel,
     conjugate_second_factor,
     descent_cohomology,
@@ -62,6 +65,12 @@ class TestIsDescentCocycle:
         with pytest.raises(ValueError):
             is_descent_cocycle(S3, A3, zero_map(S3, A3), "up")
 
+    def test_parent_mismatch(self):
+        half = SubMonoid(C4, (0, 2))
+        for side in ("left", "right"):
+            with pytest.raises(ParentMismatch):
+                is_descent_cocycle(S3, half, ElementMap(C4, half, (0, 2, 2, 0)), side)
+
 
 class TestEnumerate:
     def test_trivial_coefficients(self):
@@ -87,6 +96,11 @@ class TestEnumerate:
 
     def test_c4_half_is_empty(self):
         assert enumerate_descent_cocycles(C4, SubMonoid(C4, (0, 2))) == []
+
+    def test_parent_mismatch(self):
+        for side in ("left", "right"):
+            with pytest.raises(ParentMismatch):
+                enumerate_descent_cocycles(S3, SubMonoid(C4, (0, 2)), side)
 
     def test_right_side_via_opposite(self):
         rights = enumerate_descent_cocycles(S3, T12, "right")
@@ -161,6 +175,53 @@ class TestCohomology:
     def test_restriction_requires_factorization(self):
         with pytest.raises(NotAFactorization):
             descent_cohomology(C4, SubMonoid(C4, (0, 2)), restrict_unit_on=SubMonoid(C4, (0, 2)))
+
+    def test_matches_pairwise_scan(self):
+        population = [M for n in range(1, 5) for M in enumerate_monoids(n, up_to_iso=True)]
+        population += list(CATALOG.values())
+        runs = [(M, A, None) for M in population for A in enumerate_submonoids(M)]
+        runs += [(M, f.first, f) for M in population for f in enumerate_factorizations(M)]
+        merged = 0
+        for M, A, fac in runs:
+            t = M.table
+            classes = descent_cohomology(M, A, fac and fac.second)
+            values = [q.values for q in classes.objects]
+
+            def related(i, j, u):  # (u * q_i)(m) * u = q_i(m * u), with no inverse taken
+                return all(t[values[j][m]][u] == values[i][t[m][u]] for m in M.elements())
+
+            base = values.index(fac.to_first.values) if fac else None
+            class_of, count, base_class = oracles.unit_conjugacy_classes(
+                len(values), units(A).members, related, base
+            )
+            assert (classes.class_of, classes.class_count) == (class_of, count)
+            assert classes.base_class == base_class
+            assert classes.representatives == tuple(
+                classes.objects[class_of.index(c)] for c in range(count)
+            )
+            assert all(related(i, j, u) for i, u, j in classes.witnesses)
+            merged += count < len(values)
+        assert len(runs) == 286 + 146 and merged == 11
+
+    def test_parent_mismatch(self):
+        with pytest.raises(ParentMismatch):
+            descent_cohomology(S3, SubMonoid(C4, (0, 2)))
+        with pytest.raises(ParentMismatch):
+            descent_cohomology(S3, SubMonoid(C4, (0, 2)), restrict_unit_on=T12)
+
+
+class TestOrbitClasses:
+    def test_numbered_by_least_member(self):
+        # the swap (0 2) and the fixed point 1 under {e, g}
+        classes = _orbit_classes("abc", (0, 1, 2), (0, 1), lambda g, i: (2, 1, 0)[i] if g else i)
+        assert classes.class_of == (0, 1, 0) and classes.representatives == ("a", "b")
+        assert classes.classes() == ((0, 2), (1,))
+        assert classes.witnesses == ((0, 0, 0), (0, 1, 2), (1, 0, 1), (1, 1, 1), (2, 0, 2), (2, 1, 0))
+
+    def test_morphism_leaving_its_orbit_is_not_an_action(self):
+        # g sends 0 -> 1, 1 -> 1 and 2 -> 0: linked, but not the orbits of a group
+        with pytest.raises(NotAnAction, match="leaves its orbit"):
+            _orbit_classes((0, 1, 2), (0, 1, 2), (0, 1), lambda g, i: (1, 1, 0)[i] if g else i)
 
 
 class TestKernel:

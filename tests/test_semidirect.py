@@ -5,6 +5,7 @@ from monofact.catalog import CATALOG
 from monofact import verify
 from monofact.core import (
     ElementMap,
+    ParentMismatch,
     SubMonoid,
     direct_product,
     enumerate_homs,
@@ -444,6 +445,13 @@ class TestNormality:
     def test_both_sides(self):
         a3 = SubMonoid(S3, (0, 4, 5))
         assert normality_check(S3, a3, S3.elements(), "both")
+
+    def test_parent_mismatch(self):
+        a3, half = SubMonoid(S3, (0, 4, 5)), SubMonoid(C4, (0, 2))
+        with pytest.raises(ParentMismatch):
+            normality_check(S3, half, [1])
+        with pytest.raises(ParentMismatch):
+            normality_check(S3, a3, half)
 
 
 class TestNormalityEquivalences:
