@@ -250,14 +250,17 @@ def unit_valued_cocycles(
     M: FiniteMonoid, A: SubMonoid, B: SubMonoid
 ) -> list[DescentCocycle]:
     """Left cocycles whose values on the second factor B are units of A."""
-    if try_factorization(M, A, B) is None:
+    return _unit_valued(M, A, B)[0]
+
+
+def _unit_valued(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> tuple[list, Factorization]:
+    """``unit_valued_cocycles`` with the factorization of (A, B) it inverted."""
+    fac = try_factorization(M, A, B)
+    if fac is None:
         raise NotAFactorization(f"({A.members}, {B.members}) does not factorize the monoid")
     unit_set = units(A).member_set
-    return [
-        q
-        for q in enumerate_descent_cocycles(M, A, "left")
-        if all(q(b) in unit_set for b in B.members)
-    ]
+    cocycles = enumerate_descent_cocycles(M, A, "left")
+    return [q for q in cocycles if all(q(b) in unit_set for b in B.members)], fac
 
 
 def conjugate_second_factor(a0: int, B: SubMonoid) -> SubMonoid:
@@ -321,14 +324,13 @@ def descent_cohomology(
     With ``restrict_unit_on=B`` the orbits are taken on the unit-valued
     subset and pointed by the class of the component map of (A, B).
     """
+    base = None
     if restrict_unit_on is None:
         cocycles = enumerate_descent_cocycles(M, A, "left")
     else:  # raises NotAFactorization unless (A, B) factorizes
-        cocycles = unit_valued_cocycles(M, A, restrict_unit_on)
+        cocycles, base = _unit_valued(M, A, restrict_unit_on)
     keys = [q.values for q in cocycles]
-    base_index = None
-    if restrict_unit_on is not None:
-        base_index = keys.index(try_factorization(M, A, restrict_unit_on).to_first.values)
+    base_index = None if base is None else keys.index(base.to_first.values)
     image = lambda a0, i: star_act(a0, cocycles[i]).values
     return _orbit_classes(cocycles, keys, units(A).members, image, base_index)
 

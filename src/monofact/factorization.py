@@ -17,7 +17,7 @@ from .core import (
     SubMonoid,
     _closed_subsets,
     enumerate_submonoids,
-    zero_map,
+    opposite,
 )
 from .search import equivariance_rule, search_assignments
 
@@ -123,7 +123,7 @@ def fac_over(M: FiniteMonoid, A: SubMonoid) -> list[SubMonoid]:
     if k == n:  # A = {e}: M itself is the only n-element candidate
         candidates = [M.members]
     else:
-        rows = [M.table[a] for a in A.members]
+        rows = _rows(M, A)
 
         def injective(S: list[int]) -> bool:
             return len({row[s] for row in rows for s in S}) == len(rows) * len(S)
@@ -131,6 +131,26 @@ def fac_over(M: FiniteMonoid, A: SubMonoid) -> list[SubMonoid]:
         candidates = sorted(ms for ms in _closed_subsets(M, k, injective) if len(ms) == k)
     partners = (SubMonoid(M, ms) for ms in candidates)
     return [B for B in partners if try_factorization(M, A, B) is not None]
+
+
+def _rows(M: FiniteMonoid, S: SubMonoid) -> list:
+    """The left translations x -> s*x of M by the members s of S."""
+    return [M.table[s] for s in S.members]
+
+
+def _columns(M: FiniteMonoid, S: SubMonoid) -> list:
+    """The right translations x -> x*s, so g(x*s) = g(x)*s reads g(col[x]) = col[g(x)]."""
+    return [[row[s] for row in M.table] for s in S.members]
+
+
+def _absorption(S: SubMonoid, lines: list) -> tuple[bool, tuple[int, int] | None]:
+    """(False, (s, m)) for the first m outside S that the line of s maps into S."""
+    inside = S.member_set
+    for s, line in zip(S.members, lines):
+        for m, sm in enumerate(line):
+            if sm in inside and m not in inside:
+                return False, (s, m)
+    return True, None
 
 
 def first_factor_filter(
@@ -143,13 +163,7 @@ def first_factor_filter(
     """
     if A.parent != M:
         raise ParentMismatch("subset must be a submonoid of the monoid")
-    inside = A.member_set
-    for a in A.members:
-        row = M.table[a]
-        for m in M.elements():
-            if row[m] in inside and m not in inside:
-                return False, (a, m)
-    return True, None
+    return _absorption(A, _rows(M, A))
 
 
 def second_factor_filter(
@@ -158,42 +172,7 @@ def second_factor_filter(
     """Mirrored necessary test for second factors: m*b inside B forces m inside B."""
     if B.parent != M:
         raise ParentMismatch("subset must be a submonoid of the monoid")
-    inside = B.member_set
-    for b in B.members:
-        for m in M.elements():
-            if M.table[m][b] in inside and m not in inside:
-                return False, (b, m)
-    return True, None
-
-
-def left_equivariant(M: FiniteMonoid, A: SubMonoid, values: Sequence[int]) -> bool:
-    """v(a*m) = a*v(m) on A x M, for the value table v of a map on M."""
-    table = M.table
-    return all(
-        values[table[a][m]] == table[a][values[m]] for a in A.members for m in M.elements()
-    )
-
-
-def right_equivariant(M: FiniteMonoid, B: SubMonoid, values: Sequence[int]) -> bool:
-    """v(m*b) = v(m)*b on M x B, for the value table v of a map on M."""
-    table = M.table
-    return all(
-        values[table[m][b]] == table[values[m]][b] for b in B.members for m in M.elements()
-    )
-
-
-def left_component_ok(M: FiniteMonoid, A: SubMonoid, B: SubMonoid, f: ElementMap) -> bool:
-    """The first map's one-sided conditions: f(b) = e on B, f(a*m) = a*f(m) on A x M."""
-    return all(f(b) == M.identity for b in B.members) and left_equivariant(
-        M, A, [f(m) for m in M.elements()]
-    )
-
-
-def right_component_ok(M: FiniteMonoid, A: SubMonoid, B: SubMonoid, g: ElementMap) -> bool:
-    """The second map's one-sided conditions: g(a) = e on A, g(m*b) = g(m)*b on M x B."""
-    return all(g(a) == M.identity for a in A.members) and right_equivariant(
-        M, B, [g(m) for m in M.elements()]
-    )
+    return _absorption(B, _columns(M, B))
 
 
 def separates_points(M: FiniteMonoid, f: ElementMap, g: ElementMap) -> bool:
@@ -212,11 +191,15 @@ def verify_bicross(
 
     True iff the first map is left A-equivariant, the second right
     B-equivariant, each collapses the other factor to the identity, and
-    the two maps jointly separate points.
+    the two maps jointly separate points.  A rule evaluated on a total
+    map pins nothing: it returns [] when the law holds and None otherwise.
     """
+    e = M.identity
     return (
-        left_component_ok(M, A, B, to_first)
-        and right_component_ok(M, A, B, to_second)
+        all(to_first(b) == e for b in B.members)
+        and all(to_second(a) == e for a in A.members)
+        and equivariance_rule(_rows(M, A))(to_first.values) is not None
+        and equivariance_rule(_columns(M, B))(to_second.values) is not None
         and separates_points(M, to_first, to_second)
     )
 
@@ -234,28 +217,16 @@ def exists_left_component_map(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bo
     Backtracking with the kernel prescription as a per-element domain
     restriction; existence only.
     """
-    n = M.size
-    e = M.identity
-    a_members = A.members
-    in_b = B.member_set
-    candidates = []
-    allowed = []
-    non_identity = [a for a in a_members if a != e]
-    for m in range(n):
-        if m in in_b:
-            candidates.append([e])
-            allowed.append(frozenset((e,)))
-        else:
-            candidates.append(non_identity)
-            allowed.append(frozenset(non_identity))
-    sweep = equivariance_rule([M.table[a] for a in a_members])
+    n, e = M.size, M.identity
+    non_identity = [a for a in A.members if a != e]
+    candidates = [[e] if m in B.member_set else non_identity for m in range(n)]
+    allowed = [frozenset(c) for c in candidates]
+    sweep = equivariance_rule(_rows(M, A))
     return bool(search_assignments(n, [(e, e)], candidates, allowed, sweep, first_only=True))
 
 
 def exists_right_component_map(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bool:
     """Mirror of the left search: right B-equivariant map M -> B with kernel A."""
-    from .core import opposite  # local to avoid a wide import surface
-
     Mop = opposite(M)
     return exists_left_component_map(
         Mop, SubMonoid(Mop, B.members), SubMonoid(Mop, A.members)

@@ -277,13 +277,16 @@ def h1(
     Two cocycles are cohomologous when some unit a0 satisfies
     ``chi(b) * (b . a0) = a0 * chi'(b)`` at every b.  ``cocycles`` is the
     already enumerated ``z1(act, unit_valued)``, when the caller has it;
-    a cocycle of another action, or a list without the zero cocycle, is
-    not that Z¹ and raises ActionMismatch.
+    a cocycle of another action, a cocycle that is not unit-valued when
+    ``unit_valued`` is set, or a list without the zero cocycle, is not
+    that Z¹ and raises ActionMismatch.
     """
     if cocycles is None:
         cocycles = z1(act, unit_valued)
     elif any(c.action != act for c in cocycles):
         raise ActionMismatch("cocycle belongs to a different action")
+    elif unit_valued and not all(c.unit_valued for c in cocycles):
+        raise ActionMismatch("cocycle is not unit-valued")
     A, B = act.acted, act.actor
     atab, star, inverse = A.table, act.star, A.inverses
     keys = [c.values for c in cocycles]

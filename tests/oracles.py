@@ -242,6 +242,38 @@ def component_map_exists(M: FiniteMonoid, A: SubMonoid, B: SubMonoid, side: str)
     return False
 
 
+def collapsing_component_maps(
+    M: FiniteMonoid, S: SubMonoid, other: SubMonoid, side: str
+) -> list[tuple[int, ...]]:
+    """Every map M -> S sending ``other`` to e with S's one-sided law, by full scan.
+
+    ``left``: f(s*m) = s*f(m) for s in S; ``right``: f(m*s) = f(m)*s.
+    The maps come out in lexicographic value order.
+    """
+    table = M.table
+    free = [m for m in M.elements() if m not in other.member_set]
+    values = [M.identity] * M.size
+    out = []
+    for combo in itertools.product(S.members, repeat=len(free)):
+        for m, v in zip(free, combo):
+            values[m] = v
+        if side == "left":
+            ok = all(
+                values[table[s][m]] == table[s][values[m]]
+                for s in S.members
+                for m in M.elements()
+            )
+        else:
+            ok = all(
+                values[table[m][s]] == table[values[m]][s]
+                for s in S.members
+                for m in M.elements()
+            )
+        if ok:
+            out.append(tuple(values))
+    return out
+
+
 def monoid_tables_with_fixed_identity(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Every associative table on 0..n-1 whose identity is element 0."""
     out = []

@@ -30,7 +30,7 @@ core, descent, factorization, semidirect, verify = (
 GOLDEN = Path(__file__).parent / "goldens" / "search_counters.json"
 
 # the modules whose functions call the engine, each through its own import
-SEARCH_MODULES = (core, descent, factorization, semidirect)
+SEARCH_MODULES = (core, descent, factorization, semidirect, verify)
 FIELDS = ("calls", "solutions", "sweeps", "conflicts", "pins")
 
 
@@ -100,6 +100,12 @@ def _call_list():
                     factorization.exists_left_component_map(M, A, B)
                     factorization.exists_right_component_map(M, A, B)
 
+    def kernel_pair_maps():
+        for M, lattice in subs:
+            for A in lattice:
+                for B in lattice:
+                    verify._bicross_accepted(M, A, B)
+
     return [
         (f"enumerate_monoids({n})", lambda n=n: core.enumerate_monoids(n)) for n in (1, 2, 3, 4)
     ] + [
@@ -108,6 +114,7 @@ def _call_list():
         ("sections, order-3 battery", sections),
         ("descent cocycles, order <= 3 + catalog", descent_cocycles),
         ("component maps, order <= 3 + catalog", component_maps),
+        ("kernel-pair component maps, order <= 3 + catalog", kernel_pair_maps),
     ]
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from monofact import verify
+from monofact import descent, verify
 from monofact.catalog import CATALOG
 from monofact.core import (
     ElementMap,
@@ -171,6 +171,24 @@ class TestCohomology:
         classes = descent_cohomology(S3, A3)
         for i, a0, j in classes.witnesses:
             assert star_act(a0, classes.objects[i]).values == classes.objects[j].values
+
+    def test_restriction_inverts_the_pair_once(self, monkeypatch):
+        calls = []
+        real = descent.try_factorization
+
+        def counted(M, A, B):
+            calls.append((A.members, B.members))
+            return real(M, A, B)
+
+        monkeypatch.setattr(descent, "try_factorization", counted)
+        classes = descent_cohomology(S3, A3, restrict_unit_on=T12)
+        assert calls == [(A3.members, T12.members)]
+        assert [q.values for q in classes.objects] == [
+            (0, 0, 4, 5, 4, 5),
+            (0, 4, 5, 0, 4, 5),
+            (0, 5, 0, 4, 4, 5),
+        ]
+        assert (classes.class_of, classes.base_class) == ((0, 0, 0), 0)
 
     def test_restriction_requires_factorization(self):
         with pytest.raises(NotAFactorization):

@@ -255,6 +255,18 @@ class TestH1GivenCocycles:
         with pytest.raises(ActionMismatch):
             h1(INVERSION, unit_valued=True, cocycles=nonzero)
 
+    def test_rejects_non_unit_valued_cocycles_when_unit_valued(self):
+        # c2z's element 2 acts by collapsing c2z to e; two of the four cocycles leave U(c2z)
+        C2Z = CATALOG["c2z"]
+        act = validate_action(C2Z, C2Z, [[0, 1, 2], [0, 1, 2], [0, 0, 0]])
+        every = z1(act)
+        assert (len(every), sum(c.unit_valued for c in every)) == (4, 2)
+        with pytest.raises(ActionMismatch):
+            h1(act, unit_valued=True, cocycles=every)
+        given = h1(act, unit_valued=True, cocycles=z1(act, unit_valued=True))
+        assert (given.class_count, len(given.objects)) == (1, 2)
+        assert h1(act, cocycles=every).class_count == h1(act).class_count
+
 
 class TestClassesMatchPairwiseScan:
     """Orbit classes agree with the pairwise relation scan on the battery population."""

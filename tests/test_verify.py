@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import types
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 import oracles
 from monofact import verify
+from monofact.catalog import CATALOG
 from monofact.core import (
     ElementMap,
     MonoidError,
@@ -15,7 +17,7 @@ from monofact.core import (
     enumerate_monoids,
     enumerate_submonoids,
 )
-from monofact.factorization import verify_bicross
+from monofact.factorization import _columns, _rows, verify_bicross
 from monofact.verify import verify_suite
 
 # verify_suite(n, catalog).lines() for n = 1..3, with and without the catalog
@@ -89,7 +91,31 @@ class TestSuite:
             from_table([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
 
 
+def kernel_pair_population():
+    """Every monoid of order <= 4, one per class, and the catalog monoids of order <= 4."""
+    population = [M for n in range(1, 5) for M in enumerate_monoids(n, up_to_iso=True)]
+    return population + [M for M in CATALOG.values() if M.size <= 4]
+
+
 class TestKernelPairScan:
+    def test_engine_maps_match_product_scan(self):
+        """Both sides' engine enumerations list the scan's maps, on every (A, B)."""
+        pairs = maps = 0
+        for M in kernel_pair_population():
+            subs = enumerate_submonoids(M)
+            for A, B in itertools.product(subs, repeat=2):
+                lefts = verify._component_maps(M, A, B, _rows(M, A))
+                rights = verify._component_maps(M, B, A, _columns(M, B))
+                assert [f.values for f in lefts] == oracles.collapsing_component_maps(
+                    M, A, B, "left"
+                )
+                assert [g.values for g in rights] == oracles.collapsing_component_maps(
+                    M, B, A, "right"
+                )
+                pairs += 1
+                maps += len(lefts) + len(rights)
+        assert (pairs, maps) == (1620, 1618)
+
     def test_factored_scan_matches_verify_bicross(self):
         """Every (A, B, l, r) at order <= 3 within the scan limit, pair by pair."""
         pairs = accepted_total = 0
@@ -107,10 +133,22 @@ class TestKernelPairScan:
                         for g in r_maps
                         if verify_bicross(M, A, B, f, g)
                     }
-                    assert verify._bicross_accepted(M, A, B, l_maps, r_maps) == direct
+                    assert verify._bicross_accepted(M, A, B) == direct
                     pairs += 1
                     accepted_total += len(direct)
         assert pairs > 0 and accepted_total > 0
+
+    def test_every_pair_without_the_bound(self, monkeypatch):
+        """The check passes on all pairs of order <= 4 + catalog, the skipped ones included."""
+        monkeypatch.setattr(verify, "_BICROSS_SCAN_LIMIT", math.inf)
+        total = 0
+        for name, M in verify._population(4, True):
+            instances, counterexample = verify._kernel_pair_characterization(
+                verify._MonoidObjects(name, M)
+            )
+            assert counterexample is None, name
+            total += instances
+        assert total == 1838
 
     def test_rejected_component_pair_is_reported(self, monkeypatch):
         # a scan that accepts nothing misses the expected pair of the first factorizing (A, B)
@@ -124,8 +162,9 @@ class TestKernelPairScan:
     def test_wrongly_accepted_pair_is_reported(self, monkeypatch):
         real = verify._bicross_accepted
 
-        def too_many(M, A, B, l_maps, r_maps):
-            return real(M, A, B, l_maps, r_maps) | {(l_maps[0].values, r_maps[0].values)}
+        def too_many(M, A, B):
+            constant = (M.identity,) * M.size
+            return real(M, A, B) | {(constant, constant)}
 
         monkeypatch.setattr(verify, "_bicross_accepted", too_many)
         result = result_of(verify_suite(2, catalog=False), "kernel-pair-characterization")
