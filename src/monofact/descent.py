@@ -324,13 +324,14 @@ def descent_cohomology(
     With ``restrict_unit_on=B`` the orbits are taken on the unit-valued
     subset and pointed by the class of the component map of (A, B).
     """
-    base = None
     if restrict_unit_on is None:
         cocycles = enumerate_descent_cocycles(M, A, "left")
     else:  # raises NotAFactorization unless (A, B) factorizes
-        cocycles, base = _unit_valued(M, A, restrict_unit_on)
+        cocycles, fac = _unit_valued(M, A, restrict_unit_on)
     keys = [q.values for q in cocycles]
-    base_index = None if base is None else keys.index(base.to_first.values)
+    base_index = None
+    if restrict_unit_on is not None:
+        base_index = keys.index(fac.to_first.values)
     image = lambda a0, i: star_act(a0, cocycles[i]).values
     return _orbit_classes(cocycles, keys, units(A).members, image, base_index)
 

@@ -17,7 +17,6 @@ from .core import (
     SubMonoid,
     _closed_subsets,
     enumerate_submonoids,
-    opposite,
 )
 from .search import equivariance_rule, search_assignments
 
@@ -217,16 +216,28 @@ def exists_left_component_map(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bo
     Backtracking with the kernel prescription as a per-element domain
     restriction; existence only.
     """
-    n, e = M.size, M.identity
-    non_identity = [a for a in A.members if a != e]
-    candidates = [[e] if m in B.member_set else non_identity for m in range(n)]
-    allowed = [frozenset(c) for c in candidates]
-    sweep = equivariance_rule(_rows(M, A))
+    n = M.size
+    e = M.identity
+    a_members = A.members
+    in_b = B.member_set
+    candidates = []
+    allowed = []
+    non_identity = [a for a in a_members if a != e]
+    for m in range(n):
+        if m in in_b:
+            candidates.append([e])
+            allowed.append(frozenset((e,)))
+        else:
+            candidates.append(non_identity)
+            allowed.append(frozenset(non_identity))
+    sweep = equivariance_rule([M.table[a] for a in a_members])
     return bool(search_assignments(n, [(e, e)], candidates, allowed, sweep, first_only=True))
 
 
 def exists_right_component_map(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bool:
     """Mirror of the left search: right B-equivariant map M -> B with kernel A."""
+    from .core import opposite  # local to avoid a wide import surface
+
     Mop = opposite(M)
     return exists_left_component_map(
         Mop, SubMonoid(Mop, B.members), SubMonoid(Mop, A.members)

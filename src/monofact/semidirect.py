@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .core import (
-    Carrier,
     ElementMap,
     FiniteMonoid,
     MonoidError,

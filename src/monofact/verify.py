@@ -465,7 +465,9 @@ def _kernel_pair_characterization(u: _MonoidObjects) -> Outcome:
             if len(A) ** n * len(B) ** n > _BICROSS_SCAN_LIMIT:
                 continue
             fac = try_factorization(M, A, B)
-            expected = {(fac.to_first.values, fac.to_second.values)} if fac else set()
+            expected = (
+                {(fac.to_first.values, fac.to_second.values)} if fac is not None else set()
+            )
             count += 1
             wrong = _bicross_accepted(M, A, B) ^ expected
             if wrong:
