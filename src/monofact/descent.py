@@ -259,8 +259,12 @@ def _unit_valued(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> tuple[list, Fac
     if fac is None:
         raise NotAFactorization(f"({A.members}, {B.members}) does not factorize the monoid")
     unit_set = units(A).member_set
-    cocycles = enumerate_descent_cocycles(M, A, "left")
-    return [q for q in cocycles if all(q(b) in unit_set for b in B.members)], fac
+    cocycles = [
+        q
+        for q in enumerate_descent_cocycles(M, A, "left")
+        if all(q(b) in unit_set for b in B.members)
+    ]
+    return cocycles, fac
 
 
 def conjugate_second_factor(a0: int, B: SubMonoid) -> SubMonoid:
