@@ -41,7 +41,7 @@ class SizeBoundExceeded(MonoidError):
 
 
 class ParentMismatch(MonoidError):
-    """Submonoids passed to an operation live in different parent monoids."""
+    """Submonoids or maps passed to an operation do not live on the stated monoids."""
 
 
 class NotInvertible(MonoidError):

@@ -20,10 +20,9 @@ from .core import (
     SubMonoid,
     inverse_in,
     is_subgroup,
-    opposite,
     units,
 )
-from .factorization import Factorization, try_factorization
+from .factorization import Factorization, _columns, _require_map, try_factorization
 from .search import equivariance_rule, search_assignments
 
 
@@ -112,6 +111,7 @@ def is_descent_cocycle(
     """Check the three cocycle conditions pointwise; first violation wins."""
     if A.parent != M:
         raise ParentMismatch("coefficient submonoid belongs to a different monoid")
+    _require_map(q, M, A)
     table = M.table
     f = [q(m) for m in M.elements()]
     if side == "left":
@@ -152,38 +152,33 @@ def enumerate_descent_cocycles(
 ) -> list[DescentCocycle]:
     """All descent 1-cocycles M -> A, in lexicographic value order.
 
-    The right-side search runs the left-side machinery on the opposite
-    monoid; value tables carry over verbatim.
+    A right law reads the columns of M, which are the rows of the opposite
+    monoid: both sides run the same sweeps, on rows or on columns.
     """
     if A.parent != M:
         raise ParentMismatch("coefficient submonoid belongs to a different monoid")
-    if side == "right":
-        Mop = opposite(M)
-        mirrored = enumerate_descent_cocycles(Mop, SubMonoid(Mop, A.members), "left")
-        return [
-            DescentCocycle(ElementMap(M, A, q.values), "right") for q in mirrored
-        ]
-    if side != "left":
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if M.size > _COCYCLE_DOMAIN_LIMIT:
         raise SizeBoundExceeded(
             f"descent cocycle search capped at order {_COCYCLE_DOMAIN_LIMIT}"
         )
     n = M.size
-    table = M.table
+    table = M.table if side == "left" else _columns(M, M)
     a_members = A.members
     candidates = [list(a_members)] * n
     allowed = [frozenset(a_members)] * n
     pinned = [(a, a) for a in a_members]
 
-    # left A-equivariance pins q(a*m) from q(m)
+    # A-equivariance pins q(a*m) (on columns, q(m*a)) from q(m)
     equivariant = equivariance_rule([table[a] for a in a_members])
 
     def sweep(assign: list) -> list[tuple[int, int]] | None:
         pins = equivariant(assign)
         if pins is None:
             return None
-        # q(m1*m2) = q(m1*q(m2)) links two positions once q(m2) is known
+        # q(m1*m2) = q(m1*q(m2)) links two positions once q(m2) is known (on columns,
+        # q(m2*m1) = q(q(m2)*m1))
         for m2 in range(n):
             q2 = assign[m2]
             if q2 is None:
@@ -202,7 +197,7 @@ def enumerate_descent_cocycles(
         return pins
 
     solutions = search_assignments(n, pinned, candidates, allowed, sweep)
-    return [DescentCocycle(ElementMap(M, A, values), "left") for values in solutions]
+    return [DescentCocycle(ElementMap(M, A, values), side) for values in solutions]
 
 
 def star_act(a0: int, q: DescentCocycle) -> DescentCocycle:
@@ -318,6 +313,14 @@ def _orbit_classes(
     return CohomologyClasses(
         tuple(objects), tuple(class_of), tuple(representatives), tuple(witnesses), base_class
     )
+
+
+def _carries(source: CohomologyClasses, target: CohomologyClasses, image: Sequence[int]) -> bool:
+    """Whether object i -> object image[i] induces a bijection of the classes."""
+    # it does iff the pairs (class of i, class of image[i]) number as many as
+    # each side's classes and reach every target class
+    pairs = {(c, target.class_of[j]) for c, j in zip(source.class_of, image)}
+    return len(pairs) == source.class_count == target.class_count == len({t for _, t in pairs})
 
 
 def descent_cohomology(

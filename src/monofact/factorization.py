@@ -11,12 +11,14 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .core import (
+    Carrier,
     ElementMap,
     FiniteMonoid,
     ParentMismatch,
     SubMonoid,
     _closed_subsets,
     enumerate_submonoids,
+    opposite,
 )
 from .search import equivariance_rule, search_assignments
 
@@ -111,7 +113,8 @@ def fac_over(M: FiniteMonoid, A: SubMonoid) -> list[SubMonoid]:
     """All second factors pairing with the fixed first factor ``A``.
 
     A second factor B has ``|M| / |A|`` elements and ``A x B -> M`` is injective,
-    also on every submonoid of B; the walk prunes on both.
+    also on every submonoid of B; the walk prunes on both.  An injective map
+    between sets of |M| elements is a bijection, so every survivor pairs with A.
     """
     if A.parent != M:
         raise ParentMismatch("first factor must be a submonoid of the monoid")
@@ -128,8 +131,7 @@ def fac_over(M: FiniteMonoid, A: SubMonoid) -> list[SubMonoid]:
             return len({row[s] for row in rows for s in S}) == len(rows) * len(S)
 
         candidates = sorted(ms for ms in _closed_subsets(M, k, injective) if len(ms) == k)
-    partners = (SubMonoid(M, ms) for ms in candidates)
-    return [B for B in partners if try_factorization(M, A, B) is not None]
+    return [SubMonoid(M, ms) for ms in candidates]
 
 
 def _rows(M: FiniteMonoid, S: SubMonoid) -> list:
@@ -174,6 +176,12 @@ def second_factor_filter(
     return _absorption(B, _columns(M, B))
 
 
+def _require_map(f: ElementMap, domain: Carrier, codomain: Carrier) -> None:
+    """Raise ParentMismatch unless ``f`` maps ``domain`` to ``codomain``."""
+    if f.domain != domain or f.codomain != codomain:
+        raise ParentMismatch(f"{f!r} must map {domain!r} to {codomain!r}")
+
+
 def separates_points(M: FiniteMonoid, f: ElementMap, g: ElementMap) -> bool:
     """m -> (f(m), g(m)) is injective."""
     return len({(f(m), g(m)) for m in M.elements()}) == M.size
@@ -193,6 +201,10 @@ def verify_bicross(
     the two maps jointly separate points.  A rule evaluated on a total
     map pins nothing: it returns [] when the law holds and None otherwise.
     """
+    if A.parent != M or B.parent != M:
+        raise ParentMismatch("factors must be submonoids of the monoid being factorized")
+    _require_map(to_first, M, A)
+    _require_map(to_second, M, B)
     e = M.identity
     return (
         all(to_first(b) == e for b in B.members)
@@ -236,8 +248,6 @@ def exists_left_component_map(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bo
 
 def exists_right_component_map(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bool:
     """Mirror of the left search: right B-equivariant map M -> B with kernel A."""
-    from .core import opposite  # local to avoid a wide import surface
-
     Mop = opposite(M)
     return exists_left_component_map(
         Mop, SubMonoid(Mop, B.members), SubMonoid(Mop, A.members)

@@ -28,8 +28,8 @@ from .core import (
     opposite,
     units,
 )
-from .descent import CohomologyClasses, _orbit_classes
-from .factorization import Factorization, fac_over, try_factorization
+from .descent import CohomologyClasses, _carries, _orbit_classes
+from .factorization import Factorization, _require_map, fac_over, try_factorization
 from .search import product_rule, search_assignments
 
 
@@ -515,6 +515,8 @@ def split_epi_analysis(
     against the section image and the factorization/cocycle/split-epi
     round trips are materialized and verified.
     """
+    _require_map(p, M, B)
+    _require_map(s, B, M)
     if not (p.is_homomorphism() and s.is_homomorphism()):
         raise NotASplitPair("both maps must be monoid homomorphisms")
     if any(p(s(b)) != b for b in B.elements()):
@@ -593,6 +595,7 @@ def inner_action_and_convolution(
     defining one), and cohomology classes with conjugacy classes of
     homomorphisms.
     """
+    _require_map(kappa, B, A)
     if not kappa.is_homomorphism():
         raise NotUnitValuedHom("the defining map must be a homomorphism")
     unit_set = units(A).member_set
@@ -632,15 +635,7 @@ def inner_action_and_convolution(
 
     kappa_pos = hom_index[kappa.values]
     hom_classes = _orbit_classes(homs, keys, units(A).members, conjugate, kappa_pos)
-
-    induced: dict[int, int] = {}
-    induced_ok = True
-    for i, c_class in enumerate(cocycle_classes.class_of):
-        h_class = hom_classes.class_of[convolution_of[i]]
-        if induced.setdefault(c_class, h_class) != h_class:
-            induced_ok = False
-    if len(set(induced.values())) != len(induced) or len(induced) != hom_classes.class_count:
-        induced_ok = False
+    induced_ok = _carries(cocycle_classes, hom_classes, convolution_of)
     return ConvolutionReport(
         act,
         cocycles,

@@ -38,6 +38,9 @@ from .core import (
     units,
 )
 from .descent import (
+    ActionGroupoid,
+    NotAnAction,
+    _carries,
     cocycle_kernel,
     conjugate_second_factor,
     descent_cohomology,
@@ -66,6 +69,7 @@ from .semidirect import (
     ConvolutionReport,
     MonoidAction,
     SemidirectProduct,
+    SplitEpiReport,
     action_from_hom,
     conical_check,
     factorization_normality_equivalences,
@@ -192,19 +196,19 @@ def _kernels_conjugate(M: FiniteMonoid, A: SubMonoid, K1: SubMonoid, K2: SubMono
 
 
 class _MonoidObjects:
-    """One population monoid and its submonoids, factorizations and cocycles."""
+    """One population monoid and its submonoids, factorizations, cocycles and groupoids."""
 
     def __init__(self, name: str, M: FiniteMonoid):
         self.name = name
         self.M = M
-        self._built: dict[tuple, tuple] = {}
+        self._built: dict[tuple, object] = {}
 
     def describe(self, detail: str) -> str:
         return f"{self.name} table={[list(r) for r in self.M.table]}; {detail}"
 
-    def _once(self, key: tuple, build: Callable[[], Iterable]) -> tuple:
+    def _once(self, key: tuple, build: Callable[[], object]):
         if key not in self._built:
-            self._built[key] = tuple(build())
+            self._built[key] = build()
         return self._built[key]
 
     @cached_property
@@ -219,22 +223,46 @@ class _MonoidObjects:
     def subgroups(self) -> list[SubMonoid]:
         return [L for L in self.subs if is_subgroup(self.M, L)]
 
-    def cocycles(self, A: SubMonoid) -> tuple:
+    def cocycles(self, A: SubMonoid) -> list:
         return self._once(("cocycles", A), lambda: enumerate_descent_cocycles(self.M, A, "left"))
 
-    def fac_over(self, A: SubMonoid) -> tuple[SubMonoid, ...]:
+    def fac_over(self, A: SubMonoid) -> list[SubMonoid]:
         return self._once(("fac_over", A), lambda: fac_over(self.M, A))
 
-    def unit_valued(self, A: SubMonoid, B: SubMonoid) -> tuple:
+    def unit_valued(self, A: SubMonoid, B: SubMonoid) -> list:
         return self._once(("unit_valued", A, B), lambda: unit_valued_cocycles(self.M, A, B))
 
-    def retractions(self, S: SubMonoid) -> tuple[ElementMap, ...]:
+    def star_groupoid(self, A: SubMonoid, B: SubMonoid) -> ActionGroupoid:
+        """U(A) acting by ``star_act`` on the cocycles unit-valued on B."""
+        build = lambda: groupoid_components(self.unit_valued(A, B), units(A), star_act)
+        return self._once(("star_groupoid", A, B), build)
+
+    def partner_groupoid(self, A: SubMonoid) -> ActionGroupoid:
+        """U(A) acting by conjugation on the second factors of A."""
+        build = lambda: groupoid_components(self.fac_over(A), units(A), conjugate_second_factor)
+        return self._once(("partner_groupoid", A), build)
+
+    def retractions(self, S: SubMonoid) -> list[ElementMap]:
         """All homomorphic retractions of M onto S: homs M -> S fixing S pointwise."""
 
         def fixes_s(f: ElementMap) -> bool:
             return all(f.values[s] == s for s in S.members)
 
-        return self._once(("retractions", S), lambda: filter(fixes_s, enumerate_homs(self.M, S)))
+        return self._once(
+            ("retractions", S), lambda: list(filter(fixes_s, enumerate_homs(self.M, S)))
+        )
+
+    def split_reports(self, S: SubMonoid) -> list[tuple[ElementMap, SplitEpiReport]]:
+        """Each retraction onto S with the ``split_epi_analysis`` of the pair it splits."""
+
+        def analyse() -> Iterator[tuple[ElementMap, SplitEpiReport]]:
+            target = S.as_monoid()
+            inclusion = ElementMap(target, self.M, S.members)
+            for retraction in self.retractions(S):
+                projection = ElementMap(self.M, target, tuple(map(S.position, retraction.values)))
+                yield retraction, split_epi_analysis(self.M, target, projection, inclusion)
+
+        return self._once(("split", S), lambda: list(analyse()))
 
 
 class _ActionObjects:
@@ -300,7 +328,8 @@ def _inner_homs(pairs: Iterable[Pair]) -> Iterator[_InnerHom]:
 def _each(instances: Callable[[_MonoidObjects], Iterable]):
     """Declare a monoid check with one instance per item of ``instances(u)``.
 
-    The decorated ``test(u, item)`` returns a counterexample or None.
+    The decorated ``test(u, item)`` returns a counterexample or None; a
+    NotAnAction that it raises is its counterexample.
     """
 
     def declare(test: Callable[[_MonoidObjects, object], "str | None"]):
@@ -308,7 +337,10 @@ def _each(instances: Callable[[_MonoidObjects], Iterable]):
             count = 0
             for item in instances(u):
                 count += 1
-                counterexample = test(u, item)
+                try:
+                    counterexample = test(u, item)
+                except NotAnAction as exc:
+                    counterexample = str(exc)
                 if counterexample is not None:
                     return count, counterexample
             return count, None
@@ -354,36 +386,19 @@ def _second_map_laws(u: _MonoidObjects, fac: Factorization) -> str | None:
 
 @_each(lambda u: (A for A in u.subs if u.cocycles(A)))
 def _star_action(u: _MonoidObjects, A: SubMonoid) -> str | None:
-    M, qs = u.M, u.cocycles(A)
-    values = {q.values for q in qs}
-    unit_members = units(A).members
-    for a0 in unit_members:
-        moved = [star_act(a0, q) for q in qs]
-        for q, mq in zip(qs, moved):
-            ok, violation = is_descent_cocycle(M, A, mq.underlying, "left")
-            if not ok or mq.values not in values:
-                return f"unit {a0} moves {q.values} outside: {violation}"
-        if {mq.values for mq in moved} != values:
-            return f"unit {a0} is not a bijection"
+    qs = u.cocycles(A)
     for q in qs:
-        if star_act(M.identity, q).values != q.values:
-            return "identity unit acts nontrivially"
-        for a1 in unit_members:
-            for a2 in unit_members:
-                twice = star_act(a1, star_act(a2, q))
-                if twice.values != star_act(M.table[a1][a2], q).values:
-                    return f"action composition fails at ({a1},{a2})"
+        ok, violation = is_descent_cocycle(u.M, A, q.underlying, "left")
+        if not ok:
+            return f"cocycle {q.values} violates {violation}"
+    # U(A) acts: every moved cocycle is one of qs, which are all cocycles
+    groupoid_components(qs, units(A), star_act)
     return None
 
 
 @_each(lambda u: u.facs)
 def _star_restriction(u: _MonoidObjects, fac: Factorization) -> str | None:
-    uv = u.unit_valued(fac.first, fac.second)
-    uv_values = {q.values for q in uv}
-    for a0 in units(fac.first).members:
-        for q in uv:
-            if star_act(a0, q).values not in uv_values:
-                return f"unit {a0} leaves the unit-valued subset"
+    u.star_groupoid(fac.first, fac.second)  # U(A) acts on the unit-valued subset
     return None
 
 
@@ -529,23 +544,19 @@ def _unit_cocycle_bijection(u: _MonoidObjects, fac: Factorization) -> str | None
 
 @_each(lambda u: u.facs)
 def _groupoid_isomorphism(u: _MonoidObjects, fac: Factorization) -> str | None:
-    A = fac.first
-    acting = units(A)
-    uv = u.unit_valued(A, fac.second)
-    cocycle_groupoid = groupoid_components(uv, acting, star_act)
-    partners = u.fac_over(A)
-    partner_groupoid = groupoid_components(partners, acting, conjugate_second_factor)
+    cocycle_groupoid = u.star_groupoid(fac.first, fac.second)
+    partner_groupoid = u.partner_groupoid(fac.first)
     if len(cocycle_groupoid.components) != len(partner_groupoid.components):
         return f"{fac}: component counts differ"
     partner_class = {
-        partners[i].members: c
+        partner_groupoid.objects[i].members: c
         for c, comp in enumerate(partner_groupoid.components)
         for i in comp
     }
     transported = {}
     for c, comp in enumerate(cocycle_groupoid.components):
         for i in comp:
-            kernel = cocycle_kernel(uv[i]).members
+            kernel = cocycle_kernel(cocycle_groupoid.objects[i]).members
             if kernel not in partner_class:
                 return f"{fac}: kernel {kernel} is not a partner"
             image = partner_class[kernel]
@@ -557,26 +568,16 @@ def _groupoid_isomorphism(u: _MonoidObjects, fac: Factorization) -> str | None:
 
 
 def _conjugation_action(u: _MonoidObjects) -> Outcome:
-    M = u.M
-    table = M.table
     count = 0
     for fac in u.facs:
-        A, B = fac.first, fac.second
-        partners = {C.members for C in u.fac_over(A)}
-        unit_members = units(A).members
-        for a0 in unit_members:
-            count += 1
-            conj = conjugate_second_factor(a0, B)
-            if conj.members not in partners:
-                return count, f"conjugate of {B.members} by {a0} is not a partner"
-        if conjugate_second_factor(M.identity, B).members != B.members:
-            return count, "identity conjugation moved a factor"
-        for a1 in unit_members:
-            for a2 in unit_members:
-                stepwise = conjugate_second_factor(a1, conjugate_second_factor(a2, B))
-                combined = conjugate_second_factor(table[a1][a2], B)
-                if stepwise.members != combined.members:
-                    return count, "conjugation is not an action"
+        A = fac.first
+        count += len(units(A))
+        if fac.second not in u.fac_over(A):
+            return count, f"{fac.second.members} is not a partner of {A.members}"
+        try:
+            u.partner_groupoid(A)  # U(A) acts on the partners, fac.second among them
+        except NotAnAction as exc:
+            return count, str(exc)
     return count, None
 
 
@@ -603,15 +604,10 @@ def _group_factor_normality(u: _MonoidObjects, fac: Factorization) -> str | None
 
 
 def _split_epi_translation(u: _MonoidObjects) -> Outcome:
-    M = u.M
     count = 0
     for S in u.subs:
-        target = S.as_monoid()
-        inclusion = ElementMap(target, M, S.members)
-        for retraction in u.retractions(S):
+        for _, report in u.split_reports(S):
             count += 1
-            projection = ElementMap(M, target, tuple(map(S.position, retraction.values)))
-            report = split_epi_analysis(M, target, projection, inclusion)
             if not report.conditions_agree:
                 return count, f"split pair onto {S.members} disagrees"
     return count, None
@@ -633,18 +629,12 @@ def _three_way_correspondence(u: _MonoidObjects) -> str | None:
         for q in u.cocycles(L)
         if normality_check(M, L, cocycle_kernel(q), "left")
     ]
-    split_pairs = set()
-    for S in u.subs:
-        for retraction in u.retractions(S):
-            kernel = [m for m in M.elements() if retraction(m) == M.identity]
-            unique_translation = all(
-                sum(1 for k in kernel if M.table[k][m1] == m2) == 1
-                for m1 in M.elements()
-                for m2 in M.elements()
-                if retraction(m1) == retraction(m2)
-            )
-            if unique_translation:
-                split_pairs.add((S.members, retraction.values))
+    split_pairs = {
+        (S.members, retraction.values)
+        for S in u.subs
+        for retraction, report in u.split_reports(S)
+        if report.condition_translation
+    }
     if not (len(normal_group_facs) == len(normal_cocycles) == len(split_pairs)):
         return (
             f"corner sizes {len(normal_group_facs)}, {len(normal_cocycles)}, "
@@ -690,13 +680,8 @@ def _sections_bijection(ob: _ActionObjects) -> str | None:
     classes = h1(ob.act, cocycles=report.cocycles)
     if classes.class_count != report.classes.class_count:
         return "class counts differ"
-    transported = {}
-    for i, c_class in enumerate(classes.class_of):
-        s_class = report.classes.class_of[report.section_of_cocycle[i]]
-        if transported.setdefault(c_class, s_class) != s_class:
-            return "cocycle classes do not match section classes"
-    if len(set(transported.values())) != report.classes.class_count:
-        return "class correspondence not bijective"
+    if not _carries(classes, report.classes, report.section_of_cocycle):
+        return "cocycle classes do not match section classes"
     return None
 
 
@@ -786,8 +771,7 @@ def _restricted_cohomology(u: _MonoidObjects, fac: Factorization) -> str | None:
     classes = descent_cohomology(u.M, fac.first, restrict_unit_on=fac.second)
     if classes.base_class is None:
         return f"{fac}: base class missing"
-    partners = u.fac_over(fac.first)
-    groupoid = groupoid_components(partners, units(fac.first), conjugate_second_factor)
+    groupoid = u.partner_groupoid(fac.first)
     if classes.class_count != len(groupoid.components):
         return f"{fac}: class/component counts differ"
     return None

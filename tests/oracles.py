@@ -425,3 +425,39 @@ def groupoid_components(objects, acting_group: SubMonoid, action):
         tuple(i for i, c in enumerate(label) if c == root) for root in sorted(set(label))
     )
     return components, tuple(morphisms)
+
+
+def right_cocycle_values_via_opposite(M: FiniteMonoid, A: SubMonoid) -> list[tuple[int, ...]]:
+    """Right descent cocycles M -> A as the left ones of the opposite monoid.
+
+    The transposed table is validated as a monoid of its own, and the left
+    search runs on it; the value tables carry over verbatim.  Unlike the
+    other oracles this one runs the package's search: it is the route that
+    the column search replaced, kept as its reference.
+    """
+    from monofact.core import opposite
+    from monofact.descent import enumerate_descent_cocycles
+
+    Mop = opposite(M)
+    return [q.values for q in enumerate_descent_cocycles(Mop, SubMonoid(Mop, A.members), "left")]
+
+
+def unique_translation(M: FiniteMonoid, retraction) -> bool:
+    """Whether elements with equal images differ by exactly one kernel translate k*m1 = m2."""
+    kernel = [m for m in M.elements() if retraction(m) == M.identity]
+    return all(
+        sum(1 for k in kernel if M.table[k][m1] == m2) == 1
+        for m1 in M.elements()
+        for m2 in M.elements()
+        if retraction(m1) == retraction(m2)
+    )
+
+
+def class_map_is_bijection(source_class_of, target_class_of, image, target_count: int) -> bool:
+    """Whether object i -> image[i] induces a bijection of the classes, by transport."""
+    induced: dict[int, int] = {}
+    for i, c_class in enumerate(source_class_of):
+        t_class = target_class_of[image[i]]
+        if induced.setdefault(c_class, t_class) != t_class:
+            return False
+    return len(set(induced.values())) == len(induced) == target_count

@@ -11,16 +11,19 @@ from monofact.core import (
     SubMonoid,
     enumerate_monoids,
     enumerate_submonoids,
+    identity_map,
     units,
     zero_map,
 )
 from monofact.descent import (
     ActionGroupoid,
+    CohomologyClasses,
     DescentCocycle,
     NotACocycle,
     NotAFactorization,
     NotASubgroup,
     NotAnAction,
+    _carries,
     _orbit_classes,
     cocycle_kernel,
     conjugate_second_factor,
@@ -33,10 +36,11 @@ from monofact.descent import (
     unit_valued_cocycles,
 )
 from monofact.factorization import enumerate_factorizations, fac_over, try_factorization
-from monofact.semidirect import semidirect
+from monofact.semidirect import h1, sections, semidirect
 
 S3 = CATALOG["s3"]
 B2 = CATALOG["b2"]
+C3 = CATALOG["c3"]
 C4 = CATALOG["c4"]
 A3 = SubMonoid(S3, (0, 4, 5))
 T12 = SubMonoid(S3, (0, 1))
@@ -71,6 +75,12 @@ class TestIsDescentCocycle:
             with pytest.raises(ParentMismatch):
                 is_descent_cocycle(S3, half, ElementMap(C4, half, (0, 2, 2, 0)), side)
 
+    def test_map_out_of_another_monoid(self):
+        whole = SubMonoid(S3, S3.members)
+        for side in ("left", "right"):
+            with pytest.raises(ParentMismatch):
+                is_descent_cocycle(S3, whole, identity_map(C3), side)
+
 
 class TestEnumerate:
     def test_trivial_coefficients(self):
@@ -101,6 +111,18 @@ class TestEnumerate:
         for side in ("left", "right"):
             with pytest.raises(ParentMismatch):
                 enumerate_descent_cocycles(S3, SubMonoid(C4, (0, 2)), side)
+
+    def test_right_cocycles_match_the_opposite_route(self):
+        """Columns give the opposite monoid's left cocycles, value for value and in order."""
+        population = [M for n in range(1, 5) for M in enumerate_monoids(n, up_to_iso=True)]
+        total = 0
+        for M in population + list(CATALOG.values()):
+            for A in enumerate_submonoids(M):
+                rights = enumerate_descent_cocycles(M, A, "right")
+                assert [q.values for q in rights] == oracles.right_cocycle_values_via_opposite(M, A)
+                assert all(q.side == "right" and q.underlying.domain == M for q in rights)
+                total += len(rights)
+        assert total == 356
 
     def test_right_side_via_opposite(self):
         rights = enumerate_descent_cocycles(S3, T12, "right")
@@ -296,6 +318,11 @@ class TestSubgroupFactorization:
         with pytest.raises(NotACocycle):
             fac_from_subgroup_cocycle(S3, A3, bad)
 
+    def test_cocycle_out_of_another_monoid(self):
+        q = DescentCocycle(identity_map(C3), "left")
+        with pytest.raises(ParentMismatch):
+            fac_from_subgroup_cocycle(S3, units(S3), q)
+
 
 class TestUnitValued:
     def test_group_coefficients_keep_everything(self):
@@ -488,3 +515,39 @@ class TestTabulatedChecksMatchPointwise:
             args = (fac_over(sd.product, first), units(first), conjugate_second_factor)
             ours = groupoid_components(*args)
             assert (ours.components, ours.morphisms) == oracles.groupoid_components(*args)
+
+
+class TestClassMap:
+    """``_carries`` judges a class map as the transport loops it replaced did."""
+
+    @staticmethod
+    def judged_alike(source, target, image):
+        ours = _carries(source, target, image)
+        expected = oracles.class_map_is_bijection(
+            source.class_of, target.class_of, image, target.class_count
+        )
+        assert ours == expected
+        return ours
+
+    def test_sections_and_convolutions_of_the_order3_battery(self):
+        pop = verify._population(3, False)
+        actions = verify._action_population(pop)
+        for _, act in actions:
+            report = sections(semidirect(act.acted, act, act.actor))
+            classes = h1(act, cocycles=report.cocycles)
+            assert self.judged_alike(classes, report.classes, report.section_of_cocycle)
+        inner = list(verify._inner_homs(verify._battery_pairs(pop)))
+        for hom in inner:
+            report = hom.report
+            assert self.judged_alike(report.cocycle_classes, report.hom_classes, report.convolution_of)
+        assert (len(actions), len(inner)) == (280, 106)
+
+    def test_planted_maps_that_are_no_bijection(self):
+        def classes(class_of):
+            count = max(class_of) + 1
+            return CohomologyClasses(tuple(class_of), tuple(class_of), tuple(range(count)), ())
+
+        source, target = classes((0, 0, 1)), classes((0, 1, 1))
+        assert self.judged_alike(source, target, (1, 2, 0))  # class 0 -> 1, class 1 -> 0
+        assert not self.judged_alike(source, target, (0, 1, 2))  # class 0 splits
+        assert not self.judged_alike(source, target, (1, 2, 1))  # both classes -> 1

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from monofact import verify
+from monofact import factorization, verify
 from monofact.catalog import CATALOG
 from monofact.core import (
     ElementMap,
@@ -14,6 +14,7 @@ from monofact.core import (
     direct_product,
     enumerate_monoids,
     enumerate_submonoids,
+    identity_map,
     zero_map,
 )
 from monofact.factorization import (
@@ -178,6 +179,22 @@ class TestFacOverMatchesSubsetScan:
             found.append(self.assert_matches(sd.product, sd.first_image()))
         assert all(found)  # the first image always has the actor's copy as a partner
 
+    def test_no_partner_is_inverted_again(self, monkeypatch):
+        """The walk's survivors are returned as they are: no product map is inverted."""
+
+        def refuse(*args):
+            raise AssertionError("fac_over inverted a product map")
+
+        monkeypatch.setattr(factorization, "factorization_attempt", refuse)
+        monkeypatch.setattr(factorization, "try_factorization", refuse)
+        population = [M for n in range(1, 5) for M in enumerate_monoids(n, up_to_iso=True)]
+        found = [
+            self.assert_matches(M, A)
+            for M in population + list(CATALOG.values())
+            for A in enumerate_submonoids(M)
+        ]
+        assert found.count(True) > 0
+
 
 class TestFirstFactorFilter:
     def test_left_zero_witness(self):
@@ -227,6 +244,19 @@ class TestVerifyBicross:
     def test_rejects_constant_second_map(self):
         fac = try_factorization(S3, A3, T12)
         assert not verify_bicross(S3, A3, T12, fac.to_first, zero_map(S3, T12))
+
+    def test_maps_out_of_another_monoid(self):
+        # C3's maps have values that fit c2z's table, which once accepted them
+        M, C3 = CATALOG["c2z"], CATALOG["c3"]
+        whole, one = SubMonoid(M, M.members), SubMonoid(M, (M.identity,))
+        with pytest.raises(ParentMismatch):
+            verify_bicross(M, whole, one, identity_map(C3), zero_map(C3, C3))
+        fac = try_factorization(S3, A3, T12)
+        into_s3 = [ElementMap(S3, S3, f.values) for f in (fac.to_first, fac.to_second)]
+        with pytest.raises(ParentMismatch):
+            verify_bicross(S3, A3, T12, into_s3[0], fac.to_second)
+        with pytest.raises(ParentMismatch):
+            verify_bicross(S3, A3, T12, fac.to_first, into_s3[1])
 
     def test_accepts_exactly_component_maps_small(self):
         # exhaustive over all map pairs on order <= 3 monoids

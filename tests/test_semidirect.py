@@ -531,6 +531,13 @@ class TestSplitEpi:
         with pytest.raises(NotASplitPair):
             split_epi_analysis(S3, C2, to_unit, section)
 
+    def test_maps_out_of_another_monoid(self):
+        with pytest.raises(ParentMismatch):
+            split_epi_analysis(S3, C3, identity_map(C3), identity_map(C3))
+        sign = ElementMap(S3, C2, (0, 1, 1, 1, 0, 0))
+        with pytest.raises(ParentMismatch):  # the section must land in S3 itself
+            split_epi_analysis(S3, C2, sign, ElementMap(C2, SubMonoid(S3, (0, 1)), (0, 1)))
+
 
 class TestConvolution:
     def test_transposition_kappa_counts(self):
@@ -560,6 +567,10 @@ class TestConvolution:
     def test_requires_unit_valued_hom(self):
         with pytest.raises(NotUnitValuedHom):
             inner_action_and_convolution(B2, B2, identity_map(B2))
+
+    def test_hom_out_of_another_monoid(self):
+        with pytest.raises(ParentMismatch):
+            inner_action_and_convolution(C2, C3, identity_map(C3))
 
 
 class TestConical:

@@ -16,7 +16,9 @@ from monofact.core import (
     SubMonoid,
     enumerate_monoids,
     enumerate_submonoids,
+    zero_map,
 )
+from monofact.descent import DescentCocycle
 from monofact.factorization import _columns, _rows, verify_bicross
 from monofact.verify import verify_suite
 
@@ -294,6 +296,105 @@ class TestRetractions:
                 assert got == oracles.retraction_values(M, S), (name, S.members)
                 total += len(got)
         assert total == 305
+
+    def test_split_reports_match_the_translation_scan(self):
+        """Each retraction's report judges unique translation as the scan does."""
+        total = translating = 0
+        for name, M in verify._population(4, True):
+            u = verify._MonoidObjects(name, M)
+            for S in u.subs:
+                reports = u.split_reports(S)
+                assert [retraction for retraction, _ in reports] == u.retractions(S)
+                for retraction, report in reports:
+                    expected = oracles.unique_translation(M, retraction)
+                    assert report.condition_translation == expected, (name, retraction.values)
+                    translating += expected
+                total += len(reports)
+        assert (total, translating) == (305, 88)
+
+
+class TestSharedGroupoids:
+    """Each group action is checked by ``groupoid_components``, built once per unit and factor."""
+
+    KEY = "2 catalog=False"
+    STAR_READERS = {"unit-star-action", "unit-star-restriction", "groupoid-isomorphism"}
+    CONJUGATION_READERS = {
+        "conjugation-action",
+        "groupoid-isomorphism",
+        "restricted-cohomology",
+        "equivalence-vs-conjugacy",
+        "h1-component-count",
+    }
+
+    def planted(self, monkeypatch, name, broken, readers):
+        """Run order 2 with ``verify.<name>`` replaced; lines outside ``readers`` stay golden."""
+        monkeypatch.setattr(verify, name, broken)
+        report = verify_suite(2, catalog=False)
+        assert_golden_except(report, self.KEY, readers)
+        return report
+
+    def test_broken_star_action_fails(self, monkeypatch):
+        real = verify.star_act
+
+        def collapsing(a0, q):  # a non-identity unit sends every cocycle to the map onto e
+            M, A = q.underlying.domain, q.underlying.codomain
+            return real(a0, q) if a0 == M.identity else DescentCocycle(zero_map(M, A), "left")
+
+        report = self.planted(monkeypatch, "star_act", collapsing, self.STAR_READERS)
+        for check in self.STAR_READERS:
+            result = result_of(report, check)
+            assert not result.passed and result.instances > 0, check
+        assert "composition fails at (1, 1, " in result_of(report, "unit-star-action").counterexample
+
+    def test_broken_conjugation_fails(self, monkeypatch):
+        real = verify.conjugate_second_factor
+
+        def moving(a0, B):  # the identity sends every factor to the whole monoid
+            M = B.parent
+            return SubMonoid(M, M.members) if a0 == M.identity else real(a0, B)
+
+        report = self.planted(
+            monkeypatch, "conjugate_second_factor", moving, self.CONJUGATION_READERS
+        )
+        for check in ("conjugation-action", "groupoid-isomorphism", "restricted-cohomology"):
+            result = result_of(report, check)
+            assert not result.passed and result.instances > 0, check
+        assert result_of(report, "conjugation-action").counterexample.endswith(
+            "identity moves SubMonoid((0,))"
+        )
+
+    def test_missing_partner_fails(self, monkeypatch):
+        # with no partner listed, the conjugation groupoid is empty and passes
+        monkeypatch.setattr(verify, "fac_over", lambda M, A: [])
+        result = result_of(verify_suite(1, catalog=False), "conjugation-action")
+        assert result.line() == (
+            "conjugation-action: FAIL (1 instances) -- order1#0 table=[[0]]; "
+            "(0,) is not a partner of (0,)"
+        )
+
+    def test_each_groupoid_built_once(self, monkeypatch):
+        calls = {verify.star_act: 0, verify.conjugate_second_factor: 0}
+        real = verify.groupoid_components
+
+        def counting(objects, acting_group, action):
+            calls[action] += 1
+            return real(objects, acting_group, action)
+
+        monkeypatch.setattr(verify, "groupoid_components", counting)
+        pop = verify._population(3, True)
+        tally = verify._run_shard(("monoid", tuple(pop)))
+        assert all(stop is error is None for _, stop, error in tally.values())
+        units = [verify._MonoidObjects(name, M) for name, M in pop]
+        with_cocycles = sum(1 for u in units for A in u.subs if u.cocycles(A))
+        facs = sum(len(u.facs) for u in units)
+        first_factors = sum(len({fac.first for fac in u.facs}) for u in units)
+        # unit-star-action's groupoid on all cocycles per A, the unit-valued one per (A, B);
+        # one partner groupoid per (unit, A) for its three readers
+        assert calls == {
+            verify.star_act: with_cocycles + facs,
+            verify.conjugate_second_factor: first_factors,
+        }
+        assert first_factors < facs
 
 
 class TestPartnerLookups:
