@@ -159,6 +159,12 @@ class FiniteMonoid:
         """Two-sided inverse of ``x``, or None."""
         return self.inverses[x]
 
+    @cached_property
+    def _units(self) -> SubMonoid:
+        """The unit group, built once; ``units`` reads it."""
+        inv = self.inverses
+        return SubMonoid(self, tuple(x for x in self.members if inv[x] is not None))
+
     def is_commutative(self) -> bool:
         t = self.table
         return all(t[x][y] == t[y][x] for x in self.elements() for y in self.elements())
@@ -241,10 +247,6 @@ def carrier_monoid(c: Carrier) -> FiniteMonoid:
     return c.parent if isinstance(c, SubMonoid) else c
 
 
-def carrier_elements(c: Carrier) -> tuple[int, ...]:
-    return c.members
-
-
 def carrier_identity(c: Carrier) -> int:
     return carrier_monoid(c).identity
 
@@ -282,7 +284,7 @@ class ElementMap:
         cod_tab = carrier_monoid(self.codomain).table
         if self(carrier_identity(self.domain)) != carrier_identity(self.codomain):
             return False
-        elems = carrier_elements(self.domain)
+        elems = self.domain.members
         f = [0] * len(dom_tab)  # indexed by ambient element; only domain entries are read
         for x, v in zip(elems, self.values):
             f[x] = v
@@ -298,13 +300,13 @@ class ElementMap:
 
 
 def identity_map(c: Carrier) -> ElementMap:
-    return ElementMap(c, c, carrier_elements(c))
+    return ElementMap(c, c, c.members)
 
 
 def zero_map(domain: Carrier, codomain: Carrier) -> ElementMap:
     """The map sending every element to the codomain's identity."""
     e = carrier_identity(codomain)
-    return ElementMap(domain, codomain, (e,) * len(carrier_elements(domain)))
+    return ElementMap(domain, codomain, (e,) * len(domain.members))
 
 
 def compose(outer: ElementMap, inner: ElementMap) -> ElementMap:
@@ -327,8 +329,8 @@ class MonoidIso:
         fwd, bwd = self.forward, self.backward
         if not (fwd.is_homomorphism() and bwd.is_homomorphism()):
             raise MonoidError("isomorphism components must be homomorphisms")
-        dom = carrier_elements(fwd.domain)
-        cod = carrier_elements(fwd.codomain)
+        dom = fwd.domain.members
+        cod = fwd.codomain.members
         if sorted(fwd.values) != sorted(cod) or sorted(bwd.values) != sorted(dom):
             raise MonoidError("isomorphism components must be bijections")
         if any(bwd(fwd(x)) != x for x in dom) or any(fwd(bwd(y)) != y for y in cod):
@@ -362,11 +364,13 @@ def units(c: Carrier) -> SubMonoid:
     """The group of invertible elements, as a submonoid of the ambient monoid.
 
     An inverse lies in every submonoid that holds its unit, so the units of
-    a ``SubMonoid`` are its members that are units of the parent.
+    a ``SubMonoid`` are its members that are units of the parent.  A
+    ``FiniteMonoid`` builds its unit group once.
     """
-    parent = carrier_monoid(c)
-    inv = parent.inverses
-    return SubMonoid(parent, tuple(x for x in c.members if inv[x] is not None))
+    if isinstance(c, FiniteMonoid):
+        return c._units
+    inv = c.parent.inverses
+    return SubMonoid(c.parent, tuple(x for x in c.members if inv[x] is not None))
 
 
 def inverse_in(c: Carrier, x: int) -> int:
@@ -508,12 +512,12 @@ def enumerate_homs(B: Carrier, A: Carrier) -> list[ElementMap]:
 
     Always contains the zero map; exhaustive only for domains of size <= 8.
     """
-    dom = carrier_elements(B)
+    dom = B.members
     if len(dom) > _HOM_DOMAIN_LIMIT:
         raise SizeBoundExceeded(f"homomorphism search capped at domain size {_HOM_DOMAIN_LIMIT}")
-    cod = carrier_elements(A)
+    cod = A.members
     k = len(dom)
-    pos = {x: i for i, x in enumerate(dom)}
+    pos = B.positions
     dom_tab = carrier_monoid(B).table
     prod_pos = [[pos[dom_tab[x][y]] for y in dom] for x in dom]
     cod_tab = carrier_monoid(A).table

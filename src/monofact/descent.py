@@ -90,16 +90,6 @@ class CohomologyClasses:
         return tuple(tuple(grouped[c]) for c in sorted(grouped))
 
 
-@dataclass(frozen=True)
-class ActionGroupoid:
-    """Objects with unit-group morphisms and the component partition."""
-
-    objects: tuple
-    acting_group: SubMonoid
-    morphisms: tuple[tuple[int, int, int], ...]
-    components: tuple[tuple[int, ...], ...]
-
-
 Violation = tuple[str, tuple]
 
 _COCYCLE_DOMAIN_LIMIT = 24
@@ -347,11 +337,12 @@ def groupoid_components(
     objects: Iterable,
     acting_group: SubMonoid,
     action: Callable[[int, object], object],
-) -> ActionGroupoid:
-    """The action groupoid of a unit-group action, with component partition.
+) -> CohomologyClasses:
+    """The action groupoid of a unit-group action, as its orbit classes.
 
     Verifies the action axioms (identity acts trivially, composition is
-    respected) before recording morphisms.
+    respected) before recording morphisms.  The ``witnesses`` are the
+    morphisms and ``classes()`` the components.
     """
     objs = tuple(objects)
     parent = acting_group.parent
@@ -377,5 +368,4 @@ def groupoid_components(
                 j = pos2[i]
                 if row12[i] != (action(g1, row2[i]) if j is None else row1[j]):
                     raise NotAnAction(f"composition fails at ({g1}, {g2}, {x!r})")
-    orbits = _orbit_classes(objs, objs, acting_group.members, lambda g, i: images[g][i])
-    return ActionGroupoid(objs, acting_group, orbits.witnesses, orbits.classes())
+    return _orbit_classes(objs, objs, acting_group.members, lambda g, i: images[g][i])

@@ -20,7 +20,6 @@ from .core import (
     ParentMismatch,
     SizeBoundExceeded,
     SubMonoid,
-    carrier_elements,
     compose,
     enumerate_homs,
     inverse_in,
@@ -123,9 +122,7 @@ def action_from_hom(
     if isinstance(B, SubMonoid):
         B = B.as_monoid()
     A = endos[0].domain
-    star = tuple(
-        tuple(endos[phi(b)](a) for a in A.elements()) for b in carrier_elements(phi.domain)
-    )
+    star = tuple(tuple(endos[phi(b)](a) for a in A.elements()) for b in phi.domain.members)
     return MonoidAction(B, A, star)
 
 
@@ -155,15 +152,12 @@ class SemidirectProduct:
     def parts(self, x: int) -> tuple[int, int]:
         return divmod(x, self.action.actor.size)
 
+    # each embedding's values are its image, in ascending pair order
     def first_image(self) -> SubMonoid:
-        eb = self.action.actor.identity
-        members = tuple(sorted(self.pair_index(a, eb) for a in self.action.acted.elements()))
-        return SubMonoid(self.product, members)
+        return SubMonoid(self.product, self.embed_a.values)
 
     def second_image(self) -> SubMonoid:
-        ea = self.action.acted.identity
-        members = tuple(sorted(self.pair_index(ea, b) for b in self.action.actor.elements()))
-        return SubMonoid(self.product, members)
+        return SubMonoid(self.product, self.embed_b.values)
 
     def canonical_factorization(self) -> Factorization:
         fac = try_factorization(self.product, self.first_image(), self.second_image())

@@ -38,7 +38,7 @@ from .core import (
     units,
 )
 from .descent import (
-    ActionGroupoid,
+    CohomologyClasses,
     NotAnAction,
     _carries,
     cocycle_kernel,
@@ -232,12 +232,12 @@ class _MonoidObjects:
     def unit_valued(self, A: SubMonoid, B: SubMonoid) -> list:
         return self._once(("unit_valued", A, B), lambda: unit_valued_cocycles(self.M, A, B))
 
-    def star_groupoid(self, A: SubMonoid, B: SubMonoid) -> ActionGroupoid:
+    def star_groupoid(self, A: SubMonoid, B: SubMonoid) -> CohomologyClasses:
         """U(A) acting by ``star_act`` on the cocycles unit-valued on B."""
         build = lambda: groupoid_components(self.unit_valued(A, B), units(A), star_act)
         return self._once(("star_groupoid", A, B), build)
 
-    def partner_groupoid(self, A: SubMonoid) -> ActionGroupoid:
+    def partner_groupoid(self, A: SubMonoid) -> CohomologyClasses:
         """U(A) acting by conjugation on the second factors of A."""
         build = lambda: groupoid_components(self.fac_over(A), units(A), conjugate_second_factor)
         return self._once(("partner_groupoid", A), build)
@@ -542,29 +542,30 @@ def _unit_cocycle_bijection(u: _MonoidObjects, fac: Factorization) -> str | None
     return None
 
 
+def _onto_partners(
+    source: CohomologyClasses, members: list, partners: CohomologyClasses, what: str
+) -> str | None:
+    """Unless object i -> the partner with ``members[i]`` is a bijection of classes, why not.
+
+    ``partners`` is a conjugation groupoid on second factors; ``what`` names
+    the objects' images (kernels, graphs) in the counterexample.
+    """
+    index = {B.members: j for j, B in enumerate(partners.objects)}
+    image = []
+    for key in members:
+        if key not in index:
+            return f"{what} {key} is not a partner"
+        image.append(index[key])
+    if not _carries(source, partners, image):
+        return f"{what} map is not a bijection of classes"
+    return None
+
+
 @_each(lambda u: u.facs)
 def _groupoid_isomorphism(u: _MonoidObjects, fac: Factorization) -> str | None:
-    cocycle_groupoid = u.star_groupoid(fac.first, fac.second)
-    partner_groupoid = u.partner_groupoid(fac.first)
-    if len(cocycle_groupoid.components) != len(partner_groupoid.components):
-        return f"{fac}: component counts differ"
-    partner_class = {
-        partner_groupoid.objects[i].members: c
-        for c, comp in enumerate(partner_groupoid.components)
-        for i in comp
-    }
-    transported = {}
-    for c, comp in enumerate(cocycle_groupoid.components):
-        for i in comp:
-            kernel = cocycle_kernel(cocycle_groupoid.objects[i]).members
-            if kernel not in partner_class:
-                return f"{fac}: kernel {kernel} is not a partner"
-            image = partner_class[kernel]
-            if transported.setdefault(c, image) != image:
-                return f"{fac}: kernel map does not respect components"
-    if len(set(transported.values())) != len(partner_groupoid.components):
-        return f"{fac}: component map not bijective"
-    return None
+    cocycles = u.star_groupoid(fac.first, fac.second)
+    kernels = [cocycle_kernel(q).members for q in cocycles.objects]
+    return _onto_partners(cocycles, kernels, u.partner_groupoid(fac.first), f"{fac}: kernel")
 
 
 def _conjugation_action(u: _MonoidObjects) -> Outcome:
@@ -694,7 +695,8 @@ def _unit_z1_second_factors(ob: _ActionObjects) -> str | None:
         return f"graphs {sorted(images)} vs partners {sorted(partners)}"
     zero = (act.acted.identity,) * act.actor.size
     zero_image = dict(zip((chi.values for chi in unit_cocycles), images)).get(zero)
-    if zero_image != sd.second_image().members:
+    second = sd.second_image()
+    if zero_image != second.members:
         return "zero cocycle does not map to the canonical factor"
     # the induced map on the product is a unit-valued left descent cocycle
     A_img = ob.first_image
@@ -709,7 +711,7 @@ def _unit_z1_second_factors(ob: _ActionObjects) -> str | None:
     if not ok:
         return f"induced map is not a descent cocycle ({violation})"
     unit_imgs = units(A_img).member_set
-    if any(induced(x) not in unit_imgs for x in sd.second_image().members):
+    if any(induced(x) not in unit_imgs for x in second.members):
         return "induced map is not unit-valued on the second factor"
     return None
 
@@ -717,26 +719,8 @@ def _unit_z1_second_factors(ob: _ActionObjects) -> str | None:
 @_single
 def _h1_component_count(ob: _ActionObjects) -> str | None:
     classes = h1(ob.act, unit_valued=True, cocycles=ob.unit_cocycles)
-    partners = ob.partners
-    groupoid = groupoid_components(partners, units(ob.first_image), conjugate_second_factor)
-    if classes.class_count != len(groupoid.components):
-        return (
-            f"{classes.class_count} cohomology classes vs "
-            f"{len(groupoid.components)} components"
-        )
-    component_of = {
-        partners[i].members: c for c, comp in enumerate(groupoid.components) for i in comp
-    }
-    transported = {}
-    for i, graph in enumerate(ob.graphs):
-        if graph not in component_of:
-            return f"graph {graph} is not a partner"
-        image = component_of[graph]
-        if transported.setdefault(classes.class_of[i], image) != image:
-            return "class map does not commute with the kernel map"
-    if len(set(transported.values())) != len(groupoid.components):
-        return "class map not bijective onto components"
-    return None
+    groupoid = groupoid_components(ob.partners, units(ob.first_image), conjugate_second_factor)
+    return _onto_partners(classes, ob.graphs, groupoid, "graph")
 
 
 @_single
@@ -771,8 +755,7 @@ def _restricted_cohomology(u: _MonoidObjects, fac: Factorization) -> str | None:
     classes = descent_cohomology(u.M, fac.first, restrict_unit_on=fac.second)
     if classes.base_class is None:
         return f"{fac}: base class missing"
-    groupoid = u.partner_groupoid(fac.first)
-    if classes.class_count != len(groupoid.components):
+    if classes.class_count != u.partner_groupoid(fac.first).class_count:
         return f"{fac}: class/component counts differ"
     return None
 

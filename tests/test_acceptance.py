@@ -112,7 +112,7 @@ def test_s3_cross_check_cluster():
         bijection_inverse=inverse_is_component_map,
         bijection_forward=forward_of_component_map,
         one_cohomology_class=classes.class_count == 1,
-        one_groupoid_component=len(groupoid.components) == 1,
+        one_groupoid_component=groupoid.class_count == 1,
         z1_inversion_is_3=len(unit_cocycles) == 3,
         h1_inversion_is_1=inversion_classes.class_count == 1,
         z1_oracle_agrees=len(oracles.z1_values(INVERSION)) == 3,

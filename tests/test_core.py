@@ -137,6 +137,11 @@ class TestUnits:
         whole = SubMonoid(B2, (0, 1))
         assert units(whole).members == (0,)
 
+    def test_monoid_unit_group_built_once(self):
+        M = from_table(S3.table)
+        assert units(M) is units(M)
+        assert units(M) == SubMonoid(M, M.members)
+
 
 class TestClosure:
     def test_generates_a3(self):

@@ -16,7 +16,6 @@ from monofact.core import (
     zero_map,
 )
 from monofact.descent import (
-    ActionGroupoid,
     CohomologyClasses,
     DescentCocycle,
     NotACocycle,
@@ -377,8 +376,8 @@ class TestGroupoid:
         gpd = groupoid_components(
             partners, units(A3), lambda a0, B: conjugate_second_factor(a0, B)
         )
-        assert gpd.components == ((0, 1, 2),)
-        assert len(gpd.morphisms) == 9
+        assert gpd.classes() == ((0, 1, 2),)
+        assert len(gpd.witnesses) == 9
 
     def test_trivial_group_gives_singletons(self):
         partners = fac_over(S3, A3)
@@ -386,7 +385,7 @@ class TestGroupoid:
         gpd = groupoid_components(
             partners, trivial, lambda a0, B: conjugate_second_factor(a0, B)
         )
-        assert gpd.components == ((0,), (1,), (2,))
+        assert gpd.classes() == ((0,), (1,), (2,))
 
     def test_matches_cocycle_groupoid(self):
         uv = unit_valued_cocycles(S3, A3, T12)
@@ -395,7 +394,7 @@ class TestGroupoid:
         right = groupoid_components(
             partners, units(A3), lambda a0, B: conjugate_second_factor(a0, B)
         )
-        assert len(left.components) == len(right.components) == 1
+        assert left.class_count == right.class_count == 1
 
     def test_rejects_non_action(self):
         partners = fac_over(S3, A3)
@@ -476,8 +475,8 @@ class TestTabulatedChecksMatchPointwise:
 
     def assert_same(self, objects, acting, action):
         ours = self.outcome(lambda: groupoid_components(objects, acting, action))
-        if isinstance(ours, ActionGroupoid):
-            ours = ours.components, ours.morphisms
+        if isinstance(ours, CohomologyClasses):
+            ours = ours.classes(), ours.witnesses
         assert ours == self.outcome(
             lambda: oracles.groupoid_components(objects, acting, action)
         )
@@ -514,7 +513,7 @@ class TestTabulatedChecksMatchPointwise:
             first = sd.first_image()
             args = (fac_over(sd.product, first), units(first), conjugate_second_factor)
             ours = groupoid_components(*args)
-            assert (ours.components, ours.morphisms) == oracles.groupoid_components(*args)
+            assert (ours.classes(), ours.witnesses) == oracles.groupoid_components(*args)
 
 
 class TestClassMap:

@@ -1,13 +1,14 @@
 import itertools
 import json
 import math
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import oracles
-from monofact import verify
+from monofact import core, verify
 from monofact.catalog import CATALOG
 from monofact.core import (
     ElementMap,
@@ -16,10 +17,17 @@ from monofact.core import (
     SubMonoid,
     enumerate_monoids,
     enumerate_submonoids,
+    units,
     zero_map,
 )
-from monofact.descent import DescentCocycle
+from monofact.descent import (
+    DescentCocycle,
+    cocycle_kernel,
+    conjugate_second_factor,
+    groupoid_components,
+)
 from monofact.factorization import _columns, _rows, verify_bicross
+from monofact.semidirect import SemidirectProduct, h1
 from monofact.verify import verify_suite
 
 # verify_suite(n, catalog).lines() for n = 1..3, with and without the catalog
@@ -449,6 +457,114 @@ class TestPartnerLookups:
         result = result_of(report, "groupoid-isomorphism")
         assert not result.passed and result.instances > 0
         assert result.counterexample.endswith("kernel (0,) is not a partner")
+
+
+class TestPartnerClassMaps:
+    """``_onto_partners`` judges kernel and graph maps as the transport oracle does."""
+
+    @staticmethod
+    def oracle(source, members, partners) -> bool:
+        index = {B.members: j for j, B in enumerate(partners.objects)}
+        image = [index[key] for key in members]
+        return oracles.class_map_is_bijection(
+            source.class_of, partners.class_of, image, partners.class_count
+        )
+
+    def judged_alike(self, source, members, partners) -> bool:
+        expected = self.oracle(source, members, partners)
+        verdict = verify._onto_partners(source, members, partners, "image")
+        assert verdict == (None if expected else "image map is not a bijection of classes")
+        return expected
+
+    @staticmethod
+    def kernel_maps(pop):
+        """(cocycle groupoid, kernels, partner groupoid) of each groupoid-isomorphism instance."""
+        for name, M in pop:
+            u = verify._MonoidObjects(name, M)
+            for fac in u.facs:
+                cocycles = u.star_groupoid(fac.first, fac.second)
+                kernels = [cocycle_kernel(q).members for q in cocycles.objects]
+                yield cocycles, kernels, u.partner_groupoid(fac.first)
+
+    def test_kernels_of_every_factorization_to_order_4(self):
+        maps = list(self.kernel_maps(verify._population(4, True)))
+        assert all(self.judged_alike(*args) for args in maps)
+        assert len(maps) == 146  # groupoid-isomorphism's instances in the verify4 golden
+
+    def test_graphs_of_the_order3_battery(self):
+        actions = verify._action_population(verify._population(3, True))
+        assert len(actions) == 978
+        for desc, act in actions:
+            ob = verify._ActionObjects(desc, act)
+            classes = h1(act, unit_valued=True, cocycles=ob.unit_cocycles)
+            acting = units(ob.first_image)
+            groupoid = groupoid_components(ob.partners, acting, conjugate_second_factor)
+            assert self.judged_alike(classes, ob.graphs, groupoid)
+
+    @pytest.mark.parametrize(
+        "name, action",
+        [
+            # every unit fixes every cocycle: singleton classes, two onto one component
+            ("star_act", lambda a0, q: q),
+            # every unit fixes every partner: a class of several cocycles splits
+            ("conjugate_second_factor", lambda a0, B: B),
+        ],
+        ids=["merge", "split"],
+    )
+    def test_planted_kernel_maps_fail_where_the_oracle_does(self, monkeypatch, name, action):
+        monkeypatch.setattr(verify, name, action)
+        pop = verify._population(3, True)
+        verdicts = [self.oracle(*args) for args in self.kernel_maps(pop)]
+        tally = verify._run_shard(("monoid", tuple(pop)))
+        instances, counterexample, error = tally["groupoid-isomorphism"]
+        assert (instances, error) == (verdicts.index(False) + 1, None)
+        assert counterexample.endswith(": kernel map is not a bijection of classes")
+
+    def test_planted_graph_map_fails_where_the_oracle_does(self, monkeypatch):
+        monkeypatch.setattr(verify, "conjugate_second_factor", lambda a0, B: B)
+        pairs = tuple(verify._battery_pairs(verify._population(3, True)))
+        instances = 0
+        for desc, act in verify._actions(pairs):
+            instances += 1
+            ob = verify._ActionObjects(desc, act)
+            classes = h1(act, unit_valued=True, cocycles=ob.unit_cocycles)
+            singletons = groupoid_components(ob.partners, units(ob.first_image), lambda a0, B: B)
+            if not self.oracle(classes, ob.graphs, singletons):
+                break
+        tally = verify._run_shard(("action", pairs))
+        assert tally["h1-component-count"][:2] == (
+            instances,
+            f"{desc}: graph map is not a bijection of classes",
+        )
+
+
+class TestBuildCounts:
+    """Unit groups and semidirect images are built no more often than needed."""
+
+    def test_order3_battery_and_inner_homs(self, monkeypatch):
+        builds = {"units": 0, "second_image": 0}
+        post_init, second_image = core.SubMonoid.__post_init__, SemidirectProduct.second_image
+
+        def counting_post_init(sub):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not core.units.__code__:
+                frame = frame.f_back
+            builds["units"] += frame is not None
+            post_init(sub)
+
+        def counting_second_image(sd):
+            builds["second_image"] += 1
+            return second_image(sd)
+
+        monkeypatch.setattr(core.SubMonoid, "__post_init__", counting_post_init)
+        monkeypatch.setattr(SemidirectProduct, "second_image", counting_second_image)
+        pairs = tuple(verify._battery_pairs(verify._population(3, True)))
+        for kind in ("action", "inner"):
+            tally = verify._run_shard((kind, pairs))
+            assert all(stop is error is None for _, stop, error in tally.values())
+        # one unit group per monoid, one second factor per action's two readers
+        assert builds["units"] <= 1977
+        assert builds["second_image"] <= 1956
 
 
 class TestSizeBound:
