@@ -615,10 +615,10 @@ def find_isomorphism(M: FiniteMonoid, N: FiniteMonoid) -> MonoidIso | None:
     """Invariant-pruned isomorphism search; returns the lexicographically least one.
 
     Monoids whose sorted ``signature`` multisets differ are not isomorphic.
-    Otherwise only the bijections sending each x into the fibre of N's
-    elements with x's signature are tried, in lexicographic order.  Every
-    isomorphism is such a bijection, so the first one that preserves the
-    table is the least isomorphism.  The identity is alone in its fibre.
+    Otherwise the engine searches injective homomorphisms sending each x
+    into the fibre of N's elements with x's signature, checking the table
+    as the map grows.  Every isomorphism is such a map, and the engine's
+    first solution is the least.  The identity is alone in its fibre.
     """
     n = M.size
     if n != N.size or sorted(M.signature) != sorted(N.signature):
@@ -626,28 +626,19 @@ def find_isomorphism(M: FiniteMonoid, N: FiniteMonoid) -> MonoidIso | None:
     fibres: dict[tuple, list[int]] = {}
     for y, sig in enumerate(N.signature):
         fibres.setdefault(sig, []).append(y)
-    choices = [fibres[sig] for sig in M.signature]
-    m_tab, n_tab = M.table, N.table
-    rng = range(n)
-    perm: list[int] = []
-    used = [False] * n
+    candidates = [fibres[sig] for sig in M.signature]
+    law = product_rule(M.table, N.table, [tuple(range(n))] * n)
 
-    def extend() -> bool:
-        if len(perm) == n:
-            return all(n_tab[perm[x]][perm[y]] == perm[m_tab[x][y]] for x in rng for y in rng)
-        for y in choices[len(perm)]:
-            if not used[y]:
-                used[y] = True
-                perm.append(y)
-                if extend():
-                    return True
-                perm.pop()
-                used[y] = False
-        return False
+    def sweep(assign: list) -> list[tuple[int, int]] | None:
+        placed = [v for v in assign if v is not None]
+        return law(assign) if len(set(placed)) == len(placed) else None
 
-    if not extend():
+    pinned = [(M.identity, N.identity)]
+    allowed = [frozenset(c) for c in candidates]
+    found = search_assignments(n, pinned, candidates, allowed, sweep, first_only=True)
+    if not found:
         return None
     inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return MonoidIso(ElementMap(M, N, tuple(perm)), ElementMap(N, M, tuple(inv)))
+    for x, y in enumerate(found[0]):
+        inv[y] = x
+    return MonoidIso(ElementMap(M, N, found[0]), ElementMap(N, M, tuple(inv)))

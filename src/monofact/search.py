@@ -1,22 +1,22 @@
 """Backtracking over partial assignments with constraint propagation.
 
-Every enumeration in this package (homomorphisms, cocycles, sections,
-component maps, small Cayley tables) is a search for total maps
-``position -> value`` subject to equational constraints.  The engine
-below assigns free positions in index order, and after every placement
-runs a caller supplied ``sweep(assign)``: None reports a conflict, else
-it returns the ``(position, value)`` pins the assignment forces.
-Solutions come out in lexicographic order of the full value tuple,
-which is the canonical order used throughout.
+Every enumeration in this package (homomorphisms, isomorphisms,
+cocycles, sections, component maps, small Cayley tables) is a search
+for total maps ``position -> value`` subject to equational constraints.
+The engine below assigns free positions in index order, and after every
+placement runs a caller supplied ``sweep(assign)``: None reports a
+conflict, else it returns the ``(position, value)`` pins the assignment
+forces.  Solutions come out in lexicographic order of the full value
+tuple, which is the canonical order used throughout.
 
 Callers declare their equation with a sweep builder: ``product_rule``
-for ``f(prod[i][j]) = table[f(i)][twist[i][f(j)]]`` (homomorphisms and
-sections with identity twist, 1-cocycles twisted by the action) and
-``equivariance_rule`` for ``f(row[m]) = row[f(m)]`` (component maps and
-descent cocycles).  Only the scan is shared, so routes that verify
-cross-checks keep their own equations.  The sweep stays a plain
-callable argument so that a caller can wrap it, e.g. to count sweeps,
-pins and conflicts, without the engine knowing.
+for ``f(prod[i][j]) = table[f(i)][twist[i][f(j)]]`` (homomorphisms,
+isomorphisms and sections with identity twist, 1-cocycles twisted by
+the action) and ``equivariance_rule`` for ``f(row[m]) = row[f(m)]``
+(component maps and descent cocycles).  Only the scan is shared, so
+routes that verify cross-checks keep their own equations.  The sweep
+stays a plain callable argument so that a caller can wrap it, e.g. to
+count sweeps, pins and conflicts, without the engine knowing.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence, Union
 from .core import (
     ElementMap,
     FiniteMonoid,
+    IndexOutOfRange,
     MonoidError,
     MonoidIso,
     ParentMismatch,
@@ -393,6 +394,8 @@ def normality_check(
     if N.parent != M or isinstance(X, SubMonoid) and X.parent != M:
         raise ParentMismatch("submonoids must belong to the monoid being tested")
     xs = X.members if isinstance(X, SubMonoid) else tuple(X)
+    if any(type(x) is not int or not 0 <= x < M.size for x in xs):
+        raise IndexOutOfRange(f"elements {xs} not within 0..{M.size - 1}")
     table = M.table
     for x in xs:
         xN = {table[x][n] for n in N.members}

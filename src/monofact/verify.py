@@ -68,6 +68,7 @@ from .semidirect import (
     Cocycle1,
     ConvolutionReport,
     MonoidAction,
+    SectionsReport,
     SemidirectProduct,
     SplitEpiReport,
     action_from_hom,
@@ -81,7 +82,6 @@ from .semidirect import (
     sections,
     semidirect,
     split_epi_analysis,
-    z1,
 )
 
 # action battery limits: |acted| * |actor| and |actor| alone
@@ -266,7 +266,7 @@ class _MonoidObjects:
 
 
 class _ActionObjects:
-    """One battery action and its semidirect product, unit-valued Z¹ and second factors."""
+    """One battery action and its semidirect product, sections, unit Z¹ and second factors."""
 
     def __init__(self, desc: str, act: MonoidAction):
         self.desc = desc
@@ -284,8 +284,12 @@ class _ActionObjects:
         return self.sd.first_image()
 
     @cached_property
+    def sections_report(self) -> SectionsReport:
+        return sections(self.sd)
+
+    @cached_property
     def unit_cocycles(self) -> list[Cocycle1]:
-        return z1(self.act, unit_valued=True)
+        return [c for c in self.sections_report.cocycles if c.unit_valued]
 
     @cached_property
     def partners(self) -> list[SubMonoid]:
@@ -669,7 +673,7 @@ def _semidirect_construction(ob: _ActionObjects) -> str | None:
 
 @_single
 def _sections_bijection(ob: _ActionObjects) -> str | None:
-    report = sections(ob.sd)
+    report = ob.sections_report
     if len(report.sections) != len(report.cocycles):
         return f"{len(report.sections)} sections vs {len(report.cocycles)} cocycles"
     for i in range(len(report.cocycles)):

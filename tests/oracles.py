@@ -7,8 +7,17 @@ itertools products, sharing no search machinery with the package.
 from __future__ import annotations
 
 import itertools
+import random
 
-from monofact.core import ElementMap, FiniteMonoid, MonoidIso, NotInvertible, SubMonoid, units
+from monofact.core import (
+    ElementMap,
+    FiniteMonoid,
+    MonoidIso,
+    NotInvertible,
+    SubMonoid,
+    _relabeled_table,
+    units,
+)
 
 
 def associativity_holds(table) -> bool:
@@ -288,6 +297,17 @@ def monoid_tables_with_fixed_identity(n: int) -> list[tuple[tuple[int, ...], ...
         if associativity_holds(table):
             out.append(tuple(map(tuple, table)))
     return out
+
+
+def relabeled(M: FiniteMonoid, rng: random.Random) -> FiniteMonoid:
+    """M carried along a random permutation p that moves the identity unless M is trivial.
+
+    Element x of M is element p[x] of the result, which has no labels.
+    """
+    perm = list(range(M.size))
+    while M.size > 1 and perm[M.identity] == M.identity:
+        rng.shuffle(perm)
+    return FiniteMonoid(_relabeled_table(M.table, perm), perm[M.identity])
 
 
 def find_isomorphism_bruteforce(M: FiniteMonoid, N: FiniteMonoid) -> MonoidIso | None:

@@ -73,6 +73,7 @@ def _call_list():
     subs = [(M, core.enumerate_submonoids(M)) for M in small]
     battery = [act for _, act in verify._action_population(population)]
     products = [semidirect.semidirect(act.acted, act, act.actor) for act in battery]
+    labelled = [(core.enumerate_monoids(n), core.enumerate_monoids(n, True)) for n in (1, 2, 3)]
 
     def homs():
         for M in small:
@@ -106,6 +107,12 @@ def _call_list():
                 for B in lattice:
                     verify._bicross_accepted(M, A, B)
 
+    def isomorphisms():
+        for tables, classes in labelled:
+            for M in tables:
+                for N in classes:
+                    core.find_isomorphism(M, N)
+
     return [
         (f"enumerate_monoids({n})", lambda n=n: core.enumerate_monoids(n)) for n in (1, 2, 3, 4)
     ] + [
@@ -115,6 +122,7 @@ def _call_list():
         ("descent cocycles, order <= 3 + catalog", descent_cocycles),
         ("component maps, order <= 3 + catalog", component_maps),
         ("kernel-pair component maps, order <= 3 + catalog", kernel_pair_maps),
+        ("find_isomorphism, order <= 3 tables against classes", isomorphisms),
     ]
 
 

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -353,6 +355,39 @@ class TestFindIsomorphism:
         for x in M.elements():
             for y in M.elements():
                 assert f(M.mul(x, y)) == N.mul(f(x), f(y))
+
+
+class TestFindIsomorphismScale:
+    """Pruning by the table while the map grows keeps larger searches short."""
+
+    def transports(self, iso, M, N):
+        f = iso.forward
+        return all(f(M.mul(x, y)) == N.mul(f(x), f(y)) for x in M.elements() for y in M.elements())
+
+    def test_relabeled_monoids_are_isomorphic(self, tables_and_classes):
+        rng = random.Random(16)
+        monoids = [M for tables, _ in tables_and_classes.values() for M in tables]
+        for M in monoids + list(CATALOG.values()):
+            R = oracles.relabeled(M, rng)
+            assert M.size == 1 or R.identity != M.identity
+            iso = find_isomorphism(M, R)
+            assert iso is not None and self.transports(iso, M, R), M.table
+
+    def test_equal_signatures_not_isomorphic(self):
+        # C4xC3 is abelian and S3xC2 is not, yet their signature multisets agree
+        M, N = direct_product(C4, C3), direct_product(S3, C2)
+        assert sorted(M.signature) == sorted(N.signature)
+        start = time.perf_counter()
+        assert find_isomorphism(M, N) is None
+        assert time.perf_counter() - start < 1
+
+    def test_order36_relabeling(self):
+        M = direct_product(S3, S3)
+        R = oracles.relabeled(M, random.Random(36))
+        start = time.perf_counter()
+        iso = find_isomorphism(M, R)
+        assert time.perf_counter() - start < 1
+        assert iso is not None and self.transports(iso, M, R)
 
 
 def _iso_values(iso):

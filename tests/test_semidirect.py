@@ -5,6 +5,7 @@ from monofact.catalog import CATALOG
 from monofact import verify
 from monofact.core import (
     ElementMap,
+    IndexOutOfRange,
     ParentMismatch,
     SubMonoid,
     direct_product,
@@ -464,6 +465,12 @@ class TestNormality:
             normality_check(S3, half, [1])
         with pytest.raises(ParentMismatch):
             normality_check(S3, a3, half)
+
+    # a negative index would read the table from its end, a bool would pass as 0 or 1
+    @pytest.mark.parametrize("X", [[-1], [6], [True]], ids=["negative", "too-large", "bool"])
+    def test_element_out_of_range(self, X):
+        with pytest.raises(IndexOutOfRange):
+            normality_check(S3, SubMonoid(S3, (0, 4, 5)), X)
 
 
 class TestNormalityEquivalences:

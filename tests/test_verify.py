@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import sys
 import types
 from pathlib import Path
@@ -27,7 +28,7 @@ from monofact.descent import (
     groupoid_components,
 )
 from monofact.factorization import _columns, _rows, verify_bicross
-from monofact.semidirect import SemidirectProduct, h1
+from monofact.semidirect import SemidirectProduct, h1, z1
 from monofact.verify import verify_suite
 
 # verify_suite(n, catalog).lines() for n = 1..3, with and without the catalog
@@ -423,13 +424,13 @@ class TestPartnerLookups:
         assert not result_of(report, "unit-z1-second-factors").passed
 
     def test_z1_without_its_zero_cocycle(self, monkeypatch):
-        real = verify.z1
+        real = verify._ActionObjects.unit_cocycles.func
 
-        def without_zero(act, unit_valued=False):
-            zero = (act.acted.identity,) * act.actor.size
-            return [chi for chi in real(act, unit_valued) if chi.values != zero]
+        def without_zero(ob):
+            zero = (ob.act.acted.identity,) * ob.act.actor.size
+            return [chi for chi in real(ob) if chi.values != zero]
 
-        monkeypatch.setattr(verify, "z1", without_zero)
+        monkeypatch.setattr(verify._ActionObjects, "unit_cocycles", property(without_zero))
         report = verify_suite(1, catalog=False)
         graph_checks = {"unit-z1-second-factors", "h1-component-count"}
         assert_golden_except(report, "1 catalog=False", graph_checks)
@@ -565,6 +566,43 @@ class TestBuildCounts:
         # one unit group per monoid, one second factor per action's two readers
         assert builds["units"] <= 1977
         assert builds["second_image"] <= 1956
+
+
+class TestUnitCocycles:
+    def test_read_off_the_sections_report(self):
+        # the same values, in the same order, as a unit-valued Z¹ search
+        pairs = verify._battery_pairs(verify._population(3, True))
+        for desc, act in verify._actions(pairs):
+            ob = verify._ActionObjects(desc, act)
+            want = [c.values for c in z1(act, unit_valued=True)]
+            assert [c.values for c in ob.unit_cocycles] == want, desc
+
+
+def relabeled_population(pop):
+    """Each monoid carried along a seeded permutation that moves its identity."""
+    rng = random.Random(11)
+    return [(name, oracles.relabeled(M, rng)) for name, M in pop]
+
+
+class TestRelabelingInvariance:
+    """Checks read no index as the identity: relabeling every monoid changes no tally."""
+
+    def assert_same_tallies(self, kind, items, moved):
+        tally = verify._run_shard((kind, tuple(items)))
+        assert all(stop is error is None for _, stop, error in tally.values())
+        assert verify._run_shard((kind, tuple(moved))) == tally
+
+    def test_monoid_kind(self):
+        pop = verify._population(4, True)
+        moved = relabeled_population(pop)
+        assert all(R.identity != M.identity for (_, M), (_, R) in zip(pop, moved) if M.size > 1)
+        self.assert_same_tallies("monoid", pop, moved)
+
+    @pytest.mark.parametrize("kind", ["action", "inner"])
+    def test_battery_with_both_factors_relabeled(self, kind):
+        pop = verify._population(3, True)
+        moved = verify._battery_pairs(relabeled_population(pop))
+        self.assert_same_tallies(kind, verify._battery_pairs(pop), moved)
 
 
 class TestSizeBound:
