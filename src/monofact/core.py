@@ -126,9 +126,8 @@ class FiniteMonoid:
         #{y : xy = x}, #{y : yx = x}); an isomorphism maps x to an element
         with the same tuple.  Only the identity is an idempotent unit.
         """
-        t, inv = self.table, self.inverses
+        t, cols, inv = self.table, self.columns, self.inverses
         rng = range(len(t))
-        cols = [tuple(row[x] for row in t) for x in rng]
         return tuple(
             (
                 inv[x] is not None,
@@ -140,6 +139,11 @@ class FiniteMonoid:
             )
             for x in rng
         )
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The transposed table: ``columns[y][x]`` is x*y, the right translation by y."""
+        return tuple(zip(*self.table))
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -166,8 +170,7 @@ class FiniteMonoid:
         return SubMonoid(self, tuple(x for x in self.members if inv[x] is not None))
 
     def is_commutative(self) -> bool:
-        t = self.table
-        return all(t[x][y] == t[y][x] for x in self.elements() for y in self.elements())
+        return self.table == self.columns
 
     def is_group(self) -> bool:
         return None not in self.inverses
@@ -475,9 +478,7 @@ def is_subgroup(M: FiniteMonoid, S: SubMonoid) -> bool:
 
 def opposite(M: FiniteMonoid) -> FiniteMonoid:
     """Transpose the table; an involution on Cayley tables."""
-    n = M.size
-    table = tuple(tuple(M.table[y][x] for y in range(n)) for x in range(n))
-    return FiniteMonoid(table, M.identity, M.labels)
+    return FiniteMonoid(M.columns, M.identity, M.labels)
 
 
 def direct_product(M: FiniteMonoid, N: FiniteMonoid) -> FiniteMonoid:

@@ -22,7 +22,7 @@ from .core import (
     is_subgroup,
     units,
 )
-from .factorization import Factorization, _columns, _require_map, try_factorization
+from .factorization import Factorization, _require_map, try_factorization
 from .search import equivariance_rule, search_assignments
 
 
@@ -98,43 +98,36 @@ _COCYCLE_DOMAIN_LIMIT = 24
 def is_descent_cocycle(
     M: FiniteMonoid, A: SubMonoid, q: ElementMap, side: str = "left"
 ) -> tuple[bool, Violation | None]:
-    """Check the three cocycle conditions pointwise; first violation wins."""
+    """Check the three cocycle conditions pointwise; first violation wins.
+
+    Line k is row k of M on the left and column k on the right, so on both
+    sides the laws read q(line[m]) = line[q(m)] for k in A and q(line[m]) =
+    q(line[q(m)]) for k in M.  The witness is the failing pair that comes
+    first with its factors in product order.
+    """
     if A.parent != M:
         raise ParentMismatch("coefficient submonoid belongs to a different monoid")
     _require_map(q, M, A)
-    table = M.table
-    f = [q(m) for m in M.elements()]
-    if side == "left":
-        for a in A.members:
-            if f[a] != a:
-                return False, ("L1", (a,))
-        for a in A.members:
-            row = table[a]
-            for m in M.elements():
-                if f[row[m]] != row[f[m]]:
-                    return False, ("L2", (a, m))
-        for m1 in M.elements():
-            row = table[m1]
-            for m2 in M.elements():
-                if f[row[m2]] != f[row[f[m2]]]:
-                    return False, ("L3", (m1, m2))
-        return True, None
-    if side == "right":
-        for a in A.members:
-            if f[a] != a:
-                return False, ("R1", (a,))
-        for m in M.elements():
-            row = table[m]
-            for a in A.members:
-                if f[row[a]] != table[f[m]][a]:
-                    return False, ("R2", (m, a))
-        for m1 in M.elements():
-            row = table[m1]
-            for m2 in M.elements():
-                if f[row[m2]] != f[table[f[m1]][m2]]:
-                    return False, ("R3", (m1, m2))
-        return True, None
-    raise ValueError("side must be 'left' or 'right'")
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    left = side == "left"
+    label, lines = ("L", M.table) if left else ("R", M.columns)
+    elements = M.elements()
+    f = [q(m) for m in elements]
+    for a in A.members:
+        if f[a] != a:
+            return False, (label + "1", (a,))
+    for law, ks, outer in ((2, A.members, elements), (3, elements, f)):
+        failures = []
+        for k in ks:
+            line = lines[k]
+            for m in elements:
+                if f[line[m]] != outer[line[f[m]]]:
+                    failures.append((k, m) if left else (m, k))
+                    break
+        if failures:
+            return False, (f"{label}{law}", min(failures))
+    return True, None
 
 
 def enumerate_descent_cocycles(
@@ -142,7 +135,7 @@ def enumerate_descent_cocycles(
 ) -> list[DescentCocycle]:
     """All descent 1-cocycles M -> A, in lexicographic value order.
 
-    A right law reads the columns of M, which are the rows of the opposite
+    A right law reads ``M.columns``, which are the rows of the opposite
     monoid: both sides run the same sweeps, on rows or on columns.
     """
     if A.parent != M:
@@ -154,7 +147,7 @@ def enumerate_descent_cocycles(
             f"descent cocycle search capped at order {_COCYCLE_DOMAIN_LIMIT}"
         )
     n = M.size
-    table = M.table if side == "left" else _columns(M, M)
+    table = M.table if side == "left" else M.columns
     a_members = A.members
     candidates = [list(a_members)] * n
     allowed = [frozenset(a_members)] * n

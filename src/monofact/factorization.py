@@ -18,7 +18,6 @@ from .core import (
     SubMonoid,
     _closed_subsets,
     enumerate_submonoids,
-    opposite,
 )
 from .search import equivariance_rule, search_assignments
 
@@ -53,8 +52,7 @@ def factorization_attempt(
     M: FiniteMonoid, A: SubMonoid, B: SubMonoid
 ) -> Union[Factorization, FactorizationFailure]:
     """Invert the product map A x B -> M, or explain why it is not bijective."""
-    if A.parent != M or B.parent != M:
-        raise ParentMismatch("factors must be submonoids of the monoid being factorized")
+    _require_factors(M, A, B)
     n = M.size
     if len(A) * len(B) != n:
         return FactorizationFailure("cardinality", (len(A), len(B), n))
@@ -141,7 +139,7 @@ def _rows(M: FiniteMonoid, S: SubMonoid) -> list:
 
 def _columns(M: FiniteMonoid, S: SubMonoid) -> list:
     """The right translations x -> x*s, so g(x*s) = g(x)*s reads g(col[x]) = col[g(x)]."""
-    return [[row[s] for row in M.table] for s in S.members]
+    return [M.columns[s] for s in S.members]
 
 
 def _absorption(S: SubMonoid, lines: list) -> tuple[bool, tuple[int, int] | None]:
@@ -176,6 +174,12 @@ def second_factor_filter(
     return _absorption(B, _columns(M, B))
 
 
+def _require_factors(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> None:
+    """Raise ParentMismatch unless A and B are submonoids of M."""
+    if A.parent != M or B.parent != M:
+        raise ParentMismatch("factors must be submonoids of the monoid being factorized")
+
+
 def _require_map(f: ElementMap, domain: Carrier, codomain: Carrier) -> None:
     """Raise ParentMismatch unless ``f`` maps ``domain`` to ``codomain``."""
     if f.domain != domain or f.codomain != codomain:
@@ -201,8 +205,7 @@ def verify_bicross(
     the two maps jointly separate points.  A rule evaluated on a total
     map pins nothing: it returns [] when the law holds and None otherwise.
     """
-    if A.parent != M or B.parent != M:
-        raise ParentMismatch("factors must be submonoids of the monoid being factorized")
+    _require_factors(M, A, B)
     _require_map(to_first, M, A)
     _require_map(to_second, M, B)
     e = M.identity
@@ -217,41 +220,35 @@ def verify_bicross(
 
 def set_product_is_all(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bool:
     """Whether the set product A*B covers every element of M."""
+    _require_factors(M, A, B)
     table = M.table
     covered = {table[a][b] for a in A.members for b in B.members}
     return len(covered) == M.size
 
 
 def exists_left_component_map(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bool:
-    """Is there a left A-equivariant map M -> A whose kernel is exactly B?
-
-    Backtracking with the kernel prescription as a per-element domain
-    restriction; existence only.
-    """
-    n = M.size
-    e = M.identity
-    a_members = A.members
-    in_b = B.member_set
-    candidates = []
-    allowed = []
-    non_identity = [a for a in a_members if a != e]
-    for m in range(n):
-        if m in in_b:
-            candidates.append([e])
-            allowed.append(frozenset((e,)))
-        else:
-            candidates.append(non_identity)
-            allowed.append(frozenset(non_identity))
-    sweep = equivariance_rule([M.table[a] for a in a_members])
-    return bool(search_assignments(n, [(e, e)], candidates, allowed, sweep, first_only=True))
+    """Is there a left A-equivariant map M -> A whose kernel is exactly B?"""
+    _require_factors(M, A, B)
+    return _kernel_prescribed(M, A, B, _rows(M, A))
 
 
 def exists_right_component_map(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bool:
-    """Mirror of the left search: right B-equivariant map M -> B with kernel A."""
-    Mop = opposite(M)
-    return exists_left_component_map(
-        Mop, SubMonoid(Mop, B.members), SubMonoid(Mop, A.members)
-    )
+    """Is there a right B-equivariant map M -> B whose kernel is exactly A?"""
+    _require_factors(M, A, B)
+    return _kernel_prescribed(M, B, A, _columns(M, B))
+
+
+def _kernel_prescribed(M: FiniteMonoid, S: SubMonoid, kernel: SubMonoid, lines: list) -> bool:
+    """Is there a map M -> S obeying ``equivariance_rule(lines)`` with kernel exactly ``kernel``?
+
+    The kernel prescription restricts each element's domain; existence only.
+    """
+    e = M.identity
+    others = [s for s in S.members if s != e]
+    candidates = [[e] if m in kernel.member_set else others for m in M.elements()]
+    allowed = [frozenset(c) for c in candidates]
+    sweep = equivariance_rule(lines)
+    return bool(search_assignments(M.size, [(e, e)], candidates, allowed, sweep, first_only=True))
 
 
 def characterize_factorization(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> bool:

@@ -63,7 +63,7 @@ from .factorization import (
     try_factorization,
     verify_bicross,
 )
-from .search import equivariance_rule, search_assignments
+from .search import equivariance_rule, product_rule, search_assignments
 from .semidirect import (
     Cocycle1,
     ConvolutionReport,
@@ -242,27 +242,32 @@ class _MonoidObjects:
         build = lambda: groupoid_components(self.fac_over(A), units(A), conjugate_second_factor)
         return self._once(("partner_groupoid", A), build)
 
-    def retractions(self, S: SubMonoid) -> list[ElementMap]:
-        """All homomorphic retractions of M onto S: homs M -> S fixing S pointwise."""
+    def retractions(self, S: SubMonoid) -> list[tuple[int, ...]]:
+        """The value tables of the homomorphic retractions of M onto S."""
+        return self._once(("retractions", S), lambda: _retractions(self.M, S))
 
-        def fixes_s(f: ElementMap) -> bool:
-            return all(f.values[s] == s for s in S.members)
-
-        return self._once(
-            ("retractions", S), lambda: list(filter(fixes_s, enumerate_homs(self.M, S)))
-        )
-
-    def split_reports(self, S: SubMonoid) -> list[tuple[ElementMap, SplitEpiReport]]:
+    def split_reports(self, S: SubMonoid) -> list[tuple[tuple[int, ...], SplitEpiReport]]:
         """Each retraction onto S with the ``split_epi_analysis`` of the pair it splits."""
 
-        def analyse() -> Iterator[tuple[ElementMap, SplitEpiReport]]:
+        def analyse() -> Iterator[tuple[tuple[int, ...], SplitEpiReport]]:
             target = S.as_monoid()
             inclusion = ElementMap(target, self.M, S.members)
             for retraction in self.retractions(S):
-                projection = ElementMap(self.M, target, tuple(map(S.position, retraction.values)))
+                projection = ElementMap(self.M, target, tuple(map(S.position, retraction)))
                 yield retraction, split_epi_analysis(self.M, target, projection, inclusion)
 
         return self._once(("split", S), lambda: list(analyse()))
+
+
+def _retractions(M: FiniteMonoid, S: SubMonoid) -> list[tuple[int, ...]]:
+    """The homs M -> S fixing S pointwise, in value order; M's order is not capped.
+
+    Each s in S is pinned to s, so the search meets only retractions.
+    """
+    n, members = M.size, S.members
+    rule = product_rule(M.table, M.table, [tuple(range(n))] * n)
+    pinned = [(s, s) for s in members]
+    return search_assignments(n, pinned, [members] * n, [S.member_set] * n, rule)
 
 
 class _ActionObjects:
@@ -635,7 +640,7 @@ def _three_way_correspondence(u: _MonoidObjects) -> str | None:
         if normality_check(M, L, cocycle_kernel(q), "left")
     ]
     split_pairs = {
-        (S.members, retraction.values)
+        (S.members, retraction)
         for S in u.subs
         for retraction, report in u.split_reports(S)
         if report.condition_translation

@@ -462,14 +462,17 @@ def right_cocycle_values_via_opposite(M: FiniteMonoid, A: SubMonoid) -> list[tup
     return [q.values for q in enumerate_descent_cocycles(Mop, SubMonoid(Mop, A.members), "left")]
 
 
-def unique_translation(M: FiniteMonoid, retraction) -> bool:
-    """Whether elements with equal images differ by exactly one kernel translate k*m1 = m2."""
-    kernel = [m for m in M.elements() if retraction(m) == M.identity]
+def unique_translation(M: FiniteMonoid, retraction: tuple[int, ...]) -> bool:
+    """Whether elements with equal images differ by exactly one kernel translate k*m1 = m2.
+
+    ``retraction`` is the value table of a map out of M.
+    """
+    kernel = [m for m in M.elements() if retraction[m] == M.identity]
     return all(
         sum(1 for k in kernel if M.table[k][m1] == m2) == 1
         for m1 in M.elements()
         for m2 in M.elements()
-        if retraction(m1) == retraction(m2)
+        if retraction[m1] == retraction[m2]
     )
 
 

@@ -107,6 +107,11 @@ def _call_list():
                 for B in lattice:
                     verify._bicross_accepted(M, A, B)
 
+    def retractions():
+        for M, lattice in subs:
+            for S in lattice:
+                verify._retractions(M, S)
+
     def isomorphisms():
         for tables, classes in labelled:
             for M in tables:
@@ -123,6 +128,7 @@ def _call_list():
         ("component maps, order <= 3 + catalog", component_maps),
         ("kernel-pair component maps, order <= 3 + catalog", kernel_pair_maps),
         ("find_isomorphism, order <= 3 tables against classes", isomorphisms),
+        ("retractions, order <= 3 + catalog", retractions),
     ]
 
 

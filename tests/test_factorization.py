@@ -295,6 +295,24 @@ class TestCharacterization:
         assert not set_product_is_all(C4, SubMonoid(C4, (0, 2)), SubMonoid(C4, (0,)))
 
 
+class TestFactorsOfAnotherMonoid:
+    """Factors of b2xc2 handed to c4 are rejected before any row of c4 is read."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            set_product_is_all,
+            exists_left_component_map,
+            exists_right_component_map,
+            characterize_factorization,
+        ],
+    )
+    def test_raises_parent_mismatch(self, check):
+        other = CATALOG["b2xc2"]
+        with pytest.raises(ParentMismatch):
+            check(C4, SubMonoid(other, (0, 1)), SubMonoid(other, (0, 2)))
+
+
 class TestComponentMapsMatchScan:
     """The equivariant component-map searches against a scan of kernel-respecting maps."""
 

@@ -16,6 +16,8 @@ from monofact.core import (
     MonoidError,
     SizeBoundExceeded,
     SubMonoid,
+    direct_product,
+    enumerate_homs,
     enumerate_monoids,
     enumerate_submonoids,
     units,
@@ -296,15 +298,24 @@ class TestActionBattery:
 
 class TestRetractions:
     def test_match_fill_scan(self):
-        """The hom search filtered to maps fixing S gives the scan's list, in order."""
+        """The pinned search lists the scan's retractions in the filtered hom search's order."""
         total = 0
         for name, M in verify._population(4, True):
             u = verify._MonoidObjects(name, M)
             for S in u.subs:
-                got = [f.values for f in u.retractions(S)]
+                got = u.retractions(S)
                 assert got == oracles.retraction_values(M, S), (name, S.members)
+                homs = [f.values for f in enumerate_homs(M, S)]
+                assert got == [h for h in homs if all(h[s] == s for s in S.members)]
                 total += len(got)
         assert total == 305
+
+    def test_split_checks_past_order_8(self):
+        """C3 x C3 has nine elements, past the hom search's domain cap."""
+        u = verify._MonoidObjects("c3xc3", direct_product(CATALOG["c3"], CATALOG["c3"]))
+        checks = {check_id: check for check_id, _, check in verify._CHECKS}
+        assert checks["split-epi-translation"](u) == (14, None)
+        assert checks["three-way-correspondence"](u) == (1, None)
 
     def test_split_reports_match_the_translation_scan(self):
         """Each retraction's report judges unique translation as the scan does."""
@@ -316,7 +327,7 @@ class TestRetractions:
                 assert [retraction for retraction, _ in reports] == u.retractions(S)
                 for retraction, report in reports:
                     expected = oracles.unique_translation(M, retraction)
-                    assert report.condition_translation == expected, (name, retraction.values)
+                    assert report.condition_translation == expected, (name, retraction)
                     translating += expected
                 total += len(reports)
         assert (total, translating) == (305, 88)
