@@ -60,16 +60,18 @@ def _resolve_elements(M: FiniteMonoid, spec: str) -> list[int]:
     if spec == "@all":
         return list(M.elements())
     out = []
-    labels = {M.label(x): x for x in M.elements()}
     for token in spec.split(","):
         token = token.strip()
-        if token in labels:
-            out.append(labels[token])
+        named = [x for x in M.elements() if M.label(x) == token]
+        if len(named) > 1:
+            raise MonoidError(f"label {token!r} names elements {named}")
+        if named:
+            out.append(named[0])
             continue
-        try:
-            idx = int(token)
-        except ValueError:
-            raise MonoidError(f"unknown element {token!r}") from None
+        # int() also takes signs, underscores and non-ASCII digits
+        if not (token.isascii() and token.isdigit()):
+            raise MonoidError(f"unknown element {token!r}")
+        idx = int(token)
         if not 0 <= idx < M.size:
             raise MonoidError(f"element index {idx} out of range 0..{M.size - 1}")
         out.append(idx)

@@ -242,17 +242,13 @@ class _MonoidObjects:
         build = lambda: groupoid_components(self.fac_over(A), units(A), conjugate_second_factor)
         return self._once(("partner_groupoid", A), build)
 
-    def retractions(self, S: SubMonoid) -> list[tuple[int, ...]]:
-        """The value tables of the homomorphic retractions of M onto S."""
-        return self._once(("retractions", S), lambda: _retractions(self.M, S))
-
     def split_reports(self, S: SubMonoid) -> list[tuple[tuple[int, ...], SplitEpiReport]]:
         """Each retraction onto S with the ``split_epi_analysis`` of the pair it splits."""
 
         def analyse() -> Iterator[tuple[tuple[int, ...], SplitEpiReport]]:
             target = S.as_monoid()
             inclusion = ElementMap(target, self.M, S.members)
-            for retraction in self.retractions(S):
+            for retraction in _retractions(self.M, S):
                 projection = ElementMap(self.M, target, tuple(map(S.position, retraction)))
                 yield retraction, split_epi_analysis(self.M, target, projection, inclusion)
 
@@ -411,24 +407,22 @@ def _star_restriction(u: _MonoidObjects, fac: Factorization) -> str | None:
     return None
 
 
-def _equivalence_vs_conjugacy(u: _MonoidObjects) -> Outcome:
-    M = u.M
-    count = 0
-    for fac in u.facs:
-        A = fac.first
-        uv = u.unit_valued(A, fac.second)
-        kernels = [cocycle_kernel(q) for q in uv]
-        for i, q in enumerate(uv):
-            for j, q2 in enumerate(uv):
-                count += 1
-                lhs = _equivalent_cocycles(M, A, q, q2)
-                rhs = _kernels_conjugate(M, A, kernels[i], kernels[j])
-                if lhs != rhs:
-                    return count, (
-                        f"equivalence {lhs} but conjugacy {rhs} for "
-                        f"{q.values} vs {q2.values}"
-                    )
-    return count, None
+@_each(
+    lambda u: (
+        (fac.first, *pair)
+        for fac in u.facs
+        for pair in itertools.product(
+            [(q, cocycle_kernel(q)) for q in u.unit_valued(fac.first, fac.second)], repeat=2
+        )
+    )
+)
+def _equivalence_vs_conjugacy(u: _MonoidObjects, instance) -> str | None:
+    A, (q, kernel), (q2, kernel2) = instance
+    lhs = _equivalent_cocycles(u.M, A, q, q2)
+    rhs = _kernels_conjugate(u.M, A, kernel, kernel2)
+    if lhs != rhs:
+        return f"equivalence {lhs} but conjugacy {rhs} for {q.values} vs {q2.values}"
+    return None
 
 
 @_each(lambda u: (q for A in u.subs for q in u.cocycles(A)))
@@ -476,6 +470,7 @@ def _bicross_accepted(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> set[tuple]
     return {(f.values, g.values) for f in lefts for g in rights if verify_bicross(M, A, B, f, g)}
 
 
+# its own loop: it counts two kinds of instance, the factorizations, then the scanned pairs
 def _kernel_pair_characterization(u: _MonoidObjects) -> Outcome:
     M = u.M
     n = M.size
@@ -577,6 +572,8 @@ def _groupoid_isomorphism(u: _MonoidObjects, fac: Factorization) -> str | None:
     return _onto_partners(cocycles, kernels, u.partner_groupoid(fac.first), f"{fac}: kernel")
 
 
+# its own loop: a factorization counts |U(A)| instances, so one instance per unit
+# would change the failing count
 def _conjugation_action(u: _MonoidObjects) -> Outcome:
     count = 0
     for fac in u.facs:
@@ -591,17 +588,10 @@ def _conjugation_action(u: _MonoidObjects) -> Outcome:
     return count, None
 
 
-def _semidirect_equivalence(u: _MonoidObjects) -> Outcome:
-    reports = []
-    for count, fac in enumerate(u.facs, 1):
-        report = factorization_normality_equivalences(fac)  # raises on divergence
-        reports.append(report)
-        if report.left_normal and report.iso is None:
-            return count, f"{fac}: no isomorphism recovered"
-    # a monoid is a twisted product iff some factorization is left normal
-    if any(r.left_normal for r in reports) != any(r.semidirect_presentation for r in reports):
-        return len(reports), "presentation existence mismatch"
-    return len(reports), None
+@_each(lambda u: u.facs)
+def _semidirect_equivalence(u: _MonoidObjects, fac: Factorization) -> str | None:
+    factorization_normality_equivalences(fac)  # raises unless the three conditions agree
+    return None
 
 
 @_each(lambda u: (fac for fac in u.facs if is_subgroup(u.M, fac.first)))
@@ -613,14 +603,10 @@ def _group_factor_normality(u: _MonoidObjects, fac: Factorization) -> str | None
     return None
 
 
-def _split_epi_translation(u: _MonoidObjects) -> Outcome:
-    count = 0
-    for S in u.subs:
-        for _, report in u.split_reports(S):
-            count += 1
-            if not report.conditions_agree:
-                return count, f"split pair onto {S.members} disagrees"
-    return count, None
+@_each(lambda u: ((S, report) for S in u.subs for _, report in u.split_reports(S)))
+def _split_epi_translation(u: _MonoidObjects, instance) -> str | None:
+    S, report = instance
+    return None if report.conditions_agree else f"split pair onto {S.members} disagrees"
 
 
 @_single
@@ -634,8 +620,7 @@ def _three_way_correspondence(u: _MonoidObjects) -> str | None:
     ]
     normal_cocycles = [
         (L, q)
-        for L in u.subs
-        if is_subgroup(M, L)
+        for L in u.subgroups
         for q in u.cocycles(L)
         if normality_check(M, L, cocycle_kernel(q), "left")
     ]
@@ -669,9 +654,7 @@ def _semidirect_construction(ob: _ActionObjects) -> str | None:
     sd = ob.sd
     if not sd.proj_b.is_homomorphism():
         return "projection onto the actor is not a homomorphism"
-    fac = sd.canonical_factorization()
-    if fac.first.members != ob.first_image.members:
-        return "canonical factorization mis-built"
+    sd.canonical_factorization()  # raises unless the images factorize the product
     h0(ob.act)  # fixed points must form a submonoid; construction validates
     return None
 
@@ -743,19 +726,12 @@ def _inner_convolution_classes(hom: _InnerHom) -> str | None:
     return None if hom.report.induced_bijection_ok else "class map broke"
 
 
-def _conical_bound(u: _MonoidObjects) -> Outcome:
-    count = 0
-    for A in u.subs:
-        report = conical_check(u.M, A)
-        if not report.conical:
-            continue
-        count += 1
-        if not report.bound_satisfied:
-            return count, (
-                f"conical {A.members} has partners "
-                f"{[B.members for B in report.second_factors]}"
-            )
-    return count, None
+@_each(lambda u: ((A, r) for A in u.subs for r in [conical_check(u.M, A)] if r.conical))
+def _conical_bound(u: _MonoidObjects, instance) -> str | None:
+    A, report = instance
+    if not report.bound_satisfied:
+        return f"conical {A.members} has partners {[B.members for B in report.second_factors]}"
+    return None
 
 
 @_each(lambda u: u.facs)

@@ -90,6 +90,37 @@ class TestFac:
         code, out, _ = run("fac", "--in", "@s3", "--first", "4")
         assert "3" in out.splitlines()[0]
 
+    def test_every_element(self):
+        code, out, _ = run("fac", "--in", "@c4", "--first", "@all")
+        assert code == 0 and out.startswith("second factors for {e,g,g2,g3}: 1\n")
+
+    def test_index_out_of_range(self):
+        code, out, err = run("fac", "--in", "@c4", "--first", "4")
+        assert (code, out) == (3, "") and "element index 4 out of range 0..3" in err
+
+    def test_label_of_two_elements_is_ambiguous(self, tmp_path):
+        doc = tmp_path / "twice.json"
+        doc.write_text(
+            '{"size": 2, "identity": 0, "labels": ["e", "e"], "table": [[0, 1], [1, 1]]}'
+        )
+        code, out, err = run("fac", "--in", str(doc), "--first", "e")
+        assert (code, out) == (3, "") and "label 'e' names elements [0, 1]" in err
+        code, out, _ = run("fac", "--in", str(doc), "--first", "1")
+        assert code == 0 and out.startswith("second factors for {e,e}: 1\n")
+
+    # int() would read these as 1, 1 and 10
+    @pytest.mark.parametrize(
+        "token", ["+1", "\u0661", "1_0"], ids=["sign", "arabic-indic", "underscore"]
+    )
+    def test_index_is_plain_decimal_digits(self, token):
+        code, out, err = run("fac", "--in", "@c4", "--first", token)
+        assert (code, out) == (3, "") and f"unknown element {token!r}" in err
+
+    def test_whitespace_around_an_index(self):
+        assert run("fac", "--in", "@c4", "--first", " 1 ,2") == run(
+            "fac", "--in", "@c4", "--first", "1,2"
+        )
+
     def test_strict_empty_is_exit_one(self):
         code, out, _ = run("--strict", "fac", "--in", "@c4", "--first", "g2")
         assert code == 1 and "0" in out.splitlines()[0]

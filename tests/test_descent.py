@@ -8,9 +8,12 @@ from monofact.core import (
     MonoidError,
     NotInvertible,
     ParentMismatch,
+    SizeBoundExceeded,
     SubMonoid,
+    direct_product,
     enumerate_monoids,
     enumerate_submonoids,
+    from_table,
     identity_map,
     units,
     zero_map,
@@ -122,6 +125,18 @@ class TestEnumerate:
                 assert all(q.side == "right" and q.underlying.domain == M for q in rights)
                 total += len(rights)
         assert total == 356
+
+    def test_domain_past_the_cap_raises_before_search(self, monkeypatch):
+        c5 = from_table([[(i + j) % 5 for j in range(5)] for i in range(5)])
+        M = direct_product(c5, c5)  # order 25, past the cap of 24
+
+        def no_search(*args):
+            raise AssertionError("searched past the cap")
+
+        monkeypatch.setattr(descent, "search_assignments", no_search)
+        for side in ("left", "right"):
+            with pytest.raises(SizeBoundExceeded, match="capped at order 24"):
+                enumerate_descent_cocycles(M, SubMonoid(M, (0,)), side)
 
     def test_right_side_via_opposite(self):
         rights = enumerate_descent_cocycles(S3, T12, "right")

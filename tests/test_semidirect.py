@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 import oracles
@@ -7,6 +9,7 @@ from monofact.core import (
     ElementMap,
     IndexOutOfRange,
     ParentMismatch,
+    SizeBoundExceeded,
     SubMonoid,
     direct_product,
     enumerate_homs,
@@ -75,6 +78,14 @@ class TestValidateAction:
         with pytest.raises(AxiomViolation) as exc:
             validate_action(B2, B2, [[0, 1], [1, 1]])
         assert exc.value.axiom == "A3"
+
+    def test_idempotent_row_that_is_no_endomorphism(self):
+        # z acts by (0, 1, 1): it fixes e and is idempotent, so A1-A3 hold, but it
+        # sends 1*1 = 2 to 1 where (z.1)*(z.1) = 2
+        with pytest.raises(AxiomViolation) as exc:
+            validate_action(B2, C3, [[0, 1, 2], [0, 1, 1]])
+        assert (exc.value.axiom, exc.value.witness) == ("A4", (1, 1, 1))
+        assert str(exc.value) == "action axiom A4 fails at (1, 1, 1)"
 
     def test_from_endomorphism_hom(self):
         end, endos = endomorphism_monoid(C3)
@@ -178,6 +189,18 @@ class TestZ1:
     def test_always_contains_zero(self):
         act = validate_action(C2, C4, [[0, 1, 2, 3], [0, 3, 2, 1]])
         assert (0, 0) in [c.values for c in z1(act)]
+
+    def test_order9_actor_raises_before_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched past the cap")
+
+        monkeypatch.setattr(
+            importlib.import_module("monofact.semidirect"), "search_assignments", no_search
+        )
+        act = trivial_action(direct_product(C3, C3), C2)
+        for unit_valued in (False, True):
+            with pytest.raises(SizeBoundExceeded, match="capped at order 8"):
+                z1(act, unit_valued=unit_valued)
 
     def test_unit_flag(self):
         act = trivial_action(B2, B2)
@@ -458,6 +481,13 @@ class TestNormality:
     def test_both_sides(self):
         a3 = SubMonoid(S3, (0, 4, 5))
         assert normality_check(S3, a3, S3.elements(), "both")
+
+    def test_right_side_fails_where_left_holds(self):
+        # in lz21, 2*N = {2} lies in N*2 = {1, 2}, but not the reverse
+        lz, N = CATALOG["lz21"], SubMonoid(CATALOG["lz21"], (0, 1))
+        assert normality_check(lz, N, [2], "left")
+        assert not normality_check(lz, N, [2], "right")
+        assert not normality_check(lz, N, [2], "both")
 
     def test_parent_mismatch(self):
         a3, half = SubMonoid(S3, (0, 4, 5)), SubMonoid(C4, (0, 2))

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ from monofact.descent import (
     groupoid_components,
 )
 from monofact.factorization import _columns, _rows, verify_bicross
-from monofact.semidirect import SemidirectProduct, h1, z1
+from monofact.semidirect import ConicalReport, SemidirectProduct, h1, z1
 from monofact.verify import verify_suite
 
 # verify_suite(n, catalog).lines() for n = 1..3, with and without the catalog
@@ -303,7 +304,7 @@ class TestRetractions:
         for name, M in verify._population(4, True):
             u = verify._MonoidObjects(name, M)
             for S in u.subs:
-                got = u.retractions(S)
+                got = verify._retractions(M, S)
                 assert got == oracles.retraction_values(M, S), (name, S.members)
                 homs = [f.values for f in enumerate_homs(M, S)]
                 assert got == [h for h in homs if all(h[s] == s for s in S.members)]
@@ -324,13 +325,77 @@ class TestRetractions:
             u = verify._MonoidObjects(name, M)
             for S in u.subs:
                 reports = u.split_reports(S)
-                assert [retraction for retraction, _ in reports] == u.retractions(S)
+                assert [retraction for retraction, _ in reports] == verify._retractions(M, S)
                 for retraction, report in reports:
                     expected = oracles.unique_translation(M, retraction)
                     assert report.condition_translation == expected, (name, retraction)
                     translating += expected
                 total += len(reports)
         assert (total, translating) == (305, 88)
+
+
+class TestPlantedFaults:
+    """A planted fault in a library call gives the exact report line of the check reading it."""
+
+    # the module, not the function of the same name that the package exports
+    SEMIDIRECT = importlib.import_module("monofact.semidirect")
+
+    @staticmethod
+    def lines(checks):
+        return {result.check: result.line() for result in checks}
+
+    def order3_lines(self):
+        return self.lines(verify._run_checks(verify._population(3, True)))
+
+    def test_broken_conical_bound(self, monkeypatch):
+        real = verify.conical_check
+        monkeypatch.setattr(
+            verify,
+            "conical_check",
+            lambda M, A: ConicalReport(True, (), False) if len(A) > 1 else real(M, A),
+        )
+        assert self.order3_lines()["conical-bound"] == (
+            "conical-bound: FAIL (3 instances) -- c2 table=[[0, 1], [1, 0]]; "
+            "conical (0, 1) has partners []"
+        )
+
+    def test_negated_cocycle_equivalence(self, monkeypatch):
+        real = verify._equivalent_cocycles
+        monkeypatch.setattr(
+            verify,
+            "_equivalent_cocycles",
+            lambda M, A, q, q2: real(M, A, q, q2) != (len(A) > 1),
+        )
+        assert self.order3_lines()["equivalence-vs-conjugacy"] == (
+            "equivalence-vs-conjugacy: FAIL (3 instances) -- c2 table=[[0, 1], [1, 0]]; "
+            "equivalence False but conjugacy True for (0, 1) vs (0, 1)"
+        )
+
+    def test_negated_normality(self, monkeypatch):
+        real = self.SEMIDIRECT.normality_check
+        monkeypatch.setattr(self.SEMIDIRECT, "normality_check", lambda *a: not real(*a))
+        lines = self.lines(verify_suite(2, catalog=False).checks)
+        assert lines["semidirect-equivalence"] == (
+            "semidirect-equivalence: FAIL (0 instances) -- equivalent conditions disagree: "
+            "hom=True, normal=False, semidirect=True"
+        )
+        for check in ("split-epi-translation", "three-way-correspondence"):
+            assert lines[check] == (
+                f"{check}: FAIL (0 instances) -- split kernel is not left-normal against the image"
+            )
+
+    def test_images_that_do_not_factorize(self, monkeypatch):
+        real = self.SEMIDIRECT.try_factorization
+        monkeypatch.setattr(
+            self.SEMIDIRECT,
+            "try_factorization",
+            lambda M, A, B: None if len(A) > 1 else real(M, A, B),
+        )
+        lines = self.lines(verify_suite(2, catalog=False).checks)
+        assert lines["semidirect-construction"] == (
+            "semidirect-construction: FAIL (0 instances) -- "
+            "semidirect images failed to factorize the product"
+        )
 
 
 class TestSharedGroupoids:
