@@ -82,10 +82,6 @@ CATALOG: dict[str, FiniteMonoid] = {
 }
 
 
-def catalog_names() -> tuple[str, ...]:
-    return tuple(CATALOG)
-
-
 def catalog_monoid(name: str) -> FiniteMonoid:
     try:
         return CATALOG[name]

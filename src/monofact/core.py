@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .search import product_rule, search_assignments
@@ -48,17 +49,28 @@ class NotInvertible(MonoidError):
     """The element is not a unit of the relevant (sub)monoid."""
 
 
-def _associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    n = len(table)
-    rng = range(n)
-    for x in rng:
-        row_x = table[x]
-        for y in rng:
-            row_xy = table[row_x[y]]
-            row_y = table[y]
-            for z in rng:
-                if row_xy[z] != row_x[row_y[z]]:
-                    return (x, y, z)
+def _reader(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``seq -> tuple(seq[i] for i in indices)`` in one C call; ``indices`` is non-empty."""
+    if len(indices) == 1:  # itemgetter(i) returns a bare value, not a 1-tuple
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
+def _associativity_witness(table: tuple[tuple[int, ...], ...]) -> tuple[int, int, int] | None:
+    """The least (x, y, z) with (x*y)*z != x*(y*z), or None; rows are tuples.
+
+    (x*y)*z = x*(y*z) for every z says that row x*y is row x read through
+    row y, so each pair (x, y) costs one comparison of rows.
+    """
+    reads = [_reader(row) for row in table]
+    for x, row_x in enumerate(table):
+        for y, xy in enumerate(row_x):
+            row_xy = table[xy]
+            if row_xy != reads[y](row_x):
+                row_y = table[y]
+                z = next(z for z, v in enumerate(row_xy) if v != row_x[row_y[z]])
+                return (x, y, z)
     return None
 
 
@@ -139,6 +151,11 @@ class FiniteMonoid:
             )
             for x in rng
         )
+
+    @cached_property
+    def invariant(self) -> tuple[tuple[bool, bool, int, int, int, int], ...]:
+        """The sorted ``signature``, as long as the order; isomorphic monoids share it."""
+        return tuple(sorted(self.signature))
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -538,10 +555,8 @@ def endomorphism_monoid(A: FiniteMonoid) -> tuple[FiniteMonoid, list[ElementMap]
     """
     endos = enumerate_homs(A, A)
     index = {f.values: i for i, f in enumerate(endos)}
-    table = tuple(
-        tuple(index[tuple(f.values[g.values[x]] for x in A.elements())] for g in endos)
-        for f in endos
-    )
+    reads = [_reader(g.values) for g in endos]  # reads[g](f.values) is f after g
+    table = tuple(tuple(index[read(f.values)] for read in reads) for f in endos)
     e = index[tuple(A.elements())]
     labels = tuple("id" if i == e else f"f{i}" for i in range(len(endos)))
     return FiniteMonoid(table, e, labels), endos
@@ -567,26 +582,32 @@ def enumerate_monoids(n: int, up_to_iso: bool = False) -> list[FiniteMonoid]:
     pinned = [(j, j) for j in range(n)] + [(i * n, i) for i in range(1, n)]
     candidates = [list(range(n))] * (n * n)
     allowed = [frozenset(range(n))] * (n * n)
-    triples = list(itertools.product(range(n), repeat=3))
+    # row and column 0 are pinned before the first sweep, and every triple
+    # through the identity has left == right, so the sweep skips them
+    inner = range(1, n)
 
     def sweep(assign: list) -> list[tuple[int, int]] | None:
         pins = []
-        for x, y, z in triples:
-            xy = assign[x * n + y]
-            if xy is None:
-                continue
-            yz = assign[y * n + z]
-            if yz is None:
-                continue
-            left = assign[xy * n + z]
-            right = assign[x * n + yz]
-            if left is None:
-                if right is not None:
-                    pins.append((xy * n + z, right))
-            elif right is None:
-                pins.append((x * n + yz, left))
-            elif left != right:
-                return None
+        for x in inner:
+            xn = x * n
+            for y in inner:
+                xy = assign[xn + y]
+                if xy is None:
+                    continue
+                xyn, yn = xy * n, y * n
+                for z in inner:
+                    yz = assign[yn + z]
+                    if yz is None:
+                        continue
+                    left = assign[xyn + z]
+                    right = assign[xn + yz]
+                    if left is None:
+                        if right is not None:
+                            pins.append((xyn + z, right))
+                    elif right is None:
+                        pins.append((xn + yz, left))
+                    elif left != right:
+                        return None
         return pins
 
     flats = search_assignments(n * n, pinned, candidates, allowed, sweep)
@@ -615,15 +636,15 @@ def _is_canonical_table(table, n: int) -> bool:
 def find_isomorphism(M: FiniteMonoid, N: FiniteMonoid) -> MonoidIso | None:
     """Invariant-pruned isomorphism search; returns the lexicographically least one.
 
-    Monoids whose sorted ``signature`` multisets differ are not isomorphic.
+    Monoids whose ``invariant`` (sorted signature) differs are not isomorphic.
     Otherwise the engine searches injective homomorphisms sending each x
     into the fibre of N's elements with x's signature, checking the table
     as the map grows.  Every isomorphism is such a map, and the engine's
     first solution is the least.  The identity is alone in its fibre.
     """
-    n = M.size
-    if n != N.size or sorted(M.signature) != sorted(N.signature):
+    if M.invariant != N.invariant:
         return None
+    n = M.size
     fibres: dict[tuple, list[int]] = {}
     for y, sig in enumerate(N.signature):
         fibres.setdefault(sig, []).append(y)

@@ -11,6 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import SizeBoundExceeded
+
+# the sieve takes one byte per integer up to the bound
+_WITNESS_BOUND_LIMIT = 10**8
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -43,10 +48,12 @@ def integer_witnesses(bound: int) -> WitnessReport:
     The products odd * 2**i with a fixed exponent form an arithmetic
     progression, so each exponent is marked with one slice write; the
     map is bijective iff the pair count and the covered count both equal
-    the bound.
+    the bound.  Bounds above 10**8 raise ``SizeBoundExceeded``.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    if bound > _WITNESS_BOUND_LIMIT:
+        raise SizeBoundExceeded(f"witness bound capped at {_WITNESS_BOUND_LIMIT}")
     seen = bytearray(bound + 1)
     pairs = 0
     power = 1

@@ -20,14 +20,19 @@ from monofact.core import (
 )
 
 
-def associativity_holds(table) -> bool:
+def associativity_witness_by_scan(table) -> tuple[int, int, int] | None:
+    """The first (x, y, z) in lexicographic order with (x*y)*z != x*(y*z), or None."""
     n = len(table)
-    return all(
-        table[table[x][y]][z] == table[x][table[y][z]]
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    )
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+def associativity_holds(table) -> bool:
+    return associativity_witness_by_scan(table) is None
 
 
 def identity_of(table):

@@ -18,6 +18,7 @@ from monofact.core import (
     NotInvertible,
     SizeBoundExceeded,
     SubMonoid,
+    _associativity_witness,
     _relabeled_table,
     compose,
     direct_product,
@@ -96,6 +97,38 @@ class TestFromTable:
             assert not valid
         else:
             assert valid and M.identity == oracles.identity_of(table)
+
+
+MONOID_TABLES = [M.table for M in CATALOG.values()] + [
+    M.table for n in range(1, 5) for M in enumerate_monoids(n, up_to_iso=True)
+]
+
+
+@st.composite
+def magmas(draw):
+    """Cayley tables of order 1-6: a random magma, or a monoid with one entry redrawn."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        row = st.tuples(*[st.integers(0, n - 1)] * n)
+        return tuple(draw(st.lists(row, min_size=n, max_size=n)))
+    table = [list(row) for row in draw(st.sampled_from(MONOID_TABLES))]
+    cell = st.integers(0, len(table) - 1)
+    table[draw(cell)][draw(cell)] = draw(cell)
+    return tuple(map(tuple, table))
+
+
+class TestAssociativityWitness:
+    """The row-read kernel reports the triple that the n^3 scan meets first."""
+
+    @given(magmas())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scan(self, table):
+        witness = oracles.associativity_witness_by_scan(table)
+        assert _associativity_witness(table) == witness
+        if witness is not None:
+            with pytest.raises(NotAssociative) as exc:
+                from_table(table)
+            assert exc.value.witness == witness
 
 
 class TestSubMonoid:
@@ -276,6 +309,14 @@ class TestEndomorphisms:
         end, endos = endomorphism_monoid(CATALOG["trivial"])
         assert end.size == 1 and len(endos) == 1
 
+    def test_entries_compose_pointwise(self, tables_and_classes):
+        classes = [M for _, reps in tables_and_classes.values() for M in reps]
+        for A in classes + list(CATALOG.values()):
+            end, endos = endomorphism_monoid(A)
+            for f, row in zip(endos, end.table):
+                for g, fg in zip(endos, row):
+                    assert endos[fg].values == tuple(f.values[v] for v in g.values), A.table
+
     def test_composition_convention(self):
         end, endos = endomorphism_monoid(C3)
         i = next(k for k, f in enumerate(endos) if f.values == (0, 2, 1))
@@ -339,6 +380,12 @@ class TestEnumerateMonoids:
 class TestFindIsomorphism:
     def test_different_unit_counts(self):
         assert find_isomorphism(C2, B2) is None
+
+    def test_different_orders(self):
+        trivial, v4 = CATALOG["trivial"], CATALOG["v4"]
+        for M, N in [(trivial, C2), (C2, C3), (B2, v4), (C4, S3), (S3, trivial)]:
+            assert len(M.invariant) == M.size != N.size
+            assert find_isomorphism(M, N) is None and find_isomorphism(N, M) is None
 
     def test_identity_iso(self):
         iso = find_isomorphism(S3, S3)

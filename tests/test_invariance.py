@@ -128,6 +128,12 @@ class TestRelabelingTransport:
 
     @RELABELED
     @given(relabelings())
+    def test_isomorphism_invariant(self, drawn):
+        M, _, R = drawn
+        assert R.invariant == M.invariant
+
+    @RELABELED
+    @given(relabelings())
     def test_submonoids(self, drawn):
         M, pi, R = drawn
         moved = sorted(move_set(pi, S.members) for S in enumerate_submonoids(M))

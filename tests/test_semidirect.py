@@ -94,6 +94,16 @@ class TestValidateAction:
         assert phi.is_homomorphism()
         assert action_from_hom(phi, endos) == INVERSION
 
+    def test_from_hom_out_of_a_subgroup(self):
+        # the order-2 subgroup {e, (12)} of S3 acts on C3 by inversion
+        end, endos = endomorphism_monoid(C3)
+        inv_index = next(i for i, f in enumerate(endos) if f.values == (0, 2, 1))
+        S = SubMonoid(S3, (0, 1))
+        values = (end.identity, inv_index)
+        act = action_from_hom(ElementMap(S, end, values), endos)
+        assert act.actor == S.as_monoid()
+        assert act.star == action_from_hom(ElementMap(S.as_monoid(), end, values), endos).star
+
 
 class TestOppositeAction:
     def test_trivial_unchanged(self):

@@ -1,6 +1,7 @@
 import pytest
 
-from monofact.witnesses import integer_witnesses, odd_power_decomposition
+from monofact.core import SizeBoundExceeded
+from monofact.witnesses import _WITNESS_BOUND_LIMIT, integer_witnesses, odd_power_decomposition
 
 
 def naive_decompositions(n: int) -> list[tuple[int, int]]:
@@ -56,3 +57,8 @@ class TestReport:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             integer_witnesses(0)
+
+    def test_bound_cap(self):
+        # raised before the sieve is allocated
+        with pytest.raises(SizeBoundExceeded, match="capped at 100000000"):
+            integer_witnesses(_WITNESS_BOUND_LIMIT + 1)
