@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import FiniteMonoid, direct_product, from_table
+from .core import FiniteMonoid, _pair_table, direct_product, from_table
 
 
 def _cyclic(n: int) -> FiniteMonoid:
@@ -53,16 +53,7 @@ def _symmetric3() -> FiniteMonoid:
 
 def _c3_by_c2_inversion() -> FiniteMonoid:
     # pairs (a, b), a mod 3 and b mod 2, with (a1,b1)(a2,b2) = (a1 + (-1)^b1 a2, b1 + b2)
-    def idx(a: int, b: int) -> int:
-        return a * 2 + b
-
-    def mul(p: int, q: int) -> int:
-        a1, b1 = divmod(p, 2)
-        a2, b2 = divmod(q, 2)
-        twisted = a2 if b1 == 0 else (-a2) % 3
-        return idx((a1 + twisted) % 3, (b1 + b2) % 2)
-
-    table = tuple(tuple(mul(p, q) for q in range(6)) for p in range(6))
+    table = _pair_table(_cyclic(3), _cyclic(2), ((0, 1, 2), (0, 2, 1)))
     labels = tuple(f"({a},{b})" for a in ("e", "g", "g2") for b in ("e", "r"))
     return FiniteMonoid(table, 0, labels)
 

@@ -103,7 +103,7 @@ def _cmd_info(args, out: IO[str]) -> int:
     print(f"conical: {'yes' if len(unit_group) == 1 else 'no'}", file=out)
     subs = enumerate_submonoids(M)
     print(f"submonoids: {len(subs)}", file=out)
-    print(f"factorizations: {len(_factorizations(M, subs))}", file=out)
+    print(f"factorizations: {sum(1 for _ in _factorizations(M, subs))}", file=out)
     return 0
 
 

@@ -57,20 +57,43 @@ def _reader(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]
     return itemgetter(*indices)
 
 
-def _associativity_witness(table: tuple[tuple[int, ...], ...]) -> tuple[int, int, int] | None:
-    """The least (x, y, z) with (x*y)*z != x*(y*z), or None; rows are tuples.
+def _index(x, n: int) -> int:
+    """``x`` if it is an element index in ``0..n-1``; IndexOutOfRange otherwise (bools too)."""
+    if type(x) is not int or not 0 <= x < n:
+        raise IndexOutOfRange(f"element {x!r} not in 0..{n - 1}")
+    return x
 
-    (x*y)*z = x*(y*z) for every z says that row x*y is row x read through
-    row y, so each pair (x, y) costs one comparison of rows.
+
+def _associativity_witness(rows: Sequence, table: Sequence) -> tuple[int, int, int] | None:
+    """The least (x, y, z) with rows[x*y][z] != rows[x][rows[y][z]], x*y = table[x][y], or None.
+
+    The law for every z says that row x*y is row x read through row y, so
+    each pair (x, y) costs one comparison of rows, which are tuples.  A
+    monoid passes its table twice, an action its rows and the actor's
+    table (axiom A2).
     """
-    reads = [_reader(row) for row in table]
-    for x, row_x in enumerate(table):
-        for y, xy in enumerate(row_x):
-            row_xy = table[xy]
+    reads = [_reader(row) for row in rows]
+    for x, (row_x, prod_x) in enumerate(zip(rows, table)):
+        for y, xy in enumerate(prod_x):
+            row_xy = rows[xy]
             if row_xy != reads[y](row_x):
-                row_y = table[y]
+                row_y = rows[y]
                 z = next(z for z, v in enumerate(row_xy) if v != row_x[row_y[z]])
                 return (x, y, z)
+    return None
+
+
+def _hom_witness(f: Sequence[int], prod: Sequence, cod: Sequence) -> tuple[int, int] | None:
+    """The least (x, y) with f[prod[x][y]] != cod[f[x]][f[y]], or None.
+
+    The law for every y says that f read through row x of ``prod`` is row
+    f[x] of ``cod`` read through f, so each x costs one comparison of rows.
+    """
+    read_f = _reader(f)
+    for x, row in enumerate(prod):
+        out = cod[f[x]]
+        if _reader(row)(f) != read_f(out):
+            return (x, next(y for y, v in enumerate(row) if f[v] != out[f[y]]))
     return None
 
 
@@ -100,7 +123,7 @@ class FiniteMonoid:
                 # type() rather than isinstance(): bool is an int subclass
                 if type(v) is not int or not 0 <= v < n:
                     raise IndexOutOfRange(f"table entry {v!r} not in 0..{n - 1}")
-        witness = _associativity_witness(table)
+        witness = _associativity_witness(table, table)
         if witness is not None:
             raise NotAssociative(*witness)
         e = self.identity
@@ -163,7 +186,7 @@ class FiniteMonoid:
         return tuple(zip(*self.table))
 
     def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
+        return self.table[_index(x, self.size)][_index(y, self.size)]
 
     @cached_property
     def inverses(self) -> tuple[int | None, ...]:
@@ -178,7 +201,7 @@ class FiniteMonoid:
 
     def inverse(self, x: int) -> int | None:
         """Two-sided inverse of ``x``, or None."""
-        return self.inverses[x]
+        return self.inverses[_index(x, len(self.table))]
 
     @cached_property
     def _units(self) -> SubMonoid:
@@ -193,6 +216,7 @@ class FiniteMonoid:
         return None not in self.inverses
 
     def label(self, x: int) -> str:
+        x = _index(x, len(self.table))
         return self.labels[x] if self.labels is not None else str(x)
 
     def __repr__(self) -> str:
@@ -271,6 +295,11 @@ def carrier_identity(c: Carrier) -> int:
     return carrier_monoid(c).identity
 
 
+def _position_monoid(c: Carrier) -> FiniteMonoid:
+    """The carrier as a monoid on its positions ``0..k-1``, the domain side of its maps."""
+    return c.as_monoid() if isinstance(c, SubMonoid) else c
+
+
 @dataclass(frozen=True)
 class ElementMap:
     """A total map between carriers, stored as a value table.
@@ -300,20 +329,10 @@ class ElementMap:
         return self.values[self._positions[x]]
 
     def is_homomorphism(self) -> bool:
-        dom_tab = carrier_monoid(self.domain).table
-        cod_tab = carrier_monoid(self.codomain).table
         if self(carrier_identity(self.domain)) != carrier_identity(self.codomain):
             return False
-        elems = self.domain.members
-        f = [0] * len(dom_tab)  # indexed by ambient element; only domain entries are read
-        for x, v in zip(elems, self.values):
-            f[x] = v
-        for x in elems:
-            row, out = dom_tab[x], cod_tab[f[x]]
-            for y in elems:
-                if f[row[y]] != out[f[y]]:
-                    return False
-        return True
+        prod = _position_monoid(self.domain).table
+        return _hom_witness(self.values, prod, carrier_monoid(self.codomain).table) is None
 
     def __repr__(self) -> str:
         return f"ElementMap({self.values})"
@@ -395,18 +414,16 @@ def units(c: Carrier) -> SubMonoid:
 
 def inverse_in(c: Carrier, x: int) -> int:
     """The inverse of ``x`` inside the carrier; raises NotInvertible."""
-    y = carrier_monoid(c).inverses[x] if x in c.positions else None
-    if y is None:
+    inv = carrier_monoid(c).inverses
+    y = inv[_index(x, len(inv))]
+    if y is None or x not in c.positions:
         raise NotInvertible(f"element {x} has no inverse in the carrier")
     return y
 
 
 def submonoid_closure(M: FiniteMonoid, generators: Iterable[int]) -> SubMonoid:
     """Smallest submonoid containing the generators (and the identity)."""
-    gens = list(generators)
-    for g in gens:
-        if type(g) is not int or not 0 <= g < M.size:
-            raise IndexOutOfRange(f"generator {g!r} not in 0..{M.size - 1}")
+    gens = [_index(g, M.size) for g in generators]
     closed, bits = [M.identity], 1 << M.identity
     for g in gens:
         if not bits >> g & 1:
@@ -498,25 +515,30 @@ def opposite(M: FiniteMonoid) -> FiniteMonoid:
     return FiniteMonoid(M.columns, M.identity, M.labels)
 
 
+def _pair_table(A: FiniteMonoid, B: FiniteMonoid, star: Sequence) -> tuple[tuple[int, ...], ...]:
+    """The table of (a1, b1)(a2, b2) = (a1 * b1.a2, b1 * b2) on pairs indexed ``a * |B| + b``.
+
+    ``star[b]`` is the row of b's action on A.  Row (a1, b1) is row a1 of A
+    read through ``star[b1]``, each entry spread over row b1 of B.
+    """
+    nb = B.size
+    scaled = [tuple(v * nb for v in row) for row in A.table]
+    reads = [_reader(row) for row in star]
+    return tuple(
+        tuple(a + b for a in read(row_a) for b in row_b)
+        for row_a in scaled
+        for read, row_b in zip(reads, B.table)
+    )
+
+
 def direct_product(M: FiniteMonoid, N: FiniteMonoid) -> FiniteMonoid:
     """Componentwise product on pairs, indexed row-major (M-index major)."""
-    nn = N.size
-    idx = lambda a, b: a * nn + b
-    table = tuple(
-        tuple(
-            idx(M.table[a1][a2], N.table[b1][b2])
-            for a2 in M.elements()
-            for b2 in N.elements()
-        )
-        for a1 in M.elements()
-        for b1 in N.elements()
-    )
+    table = _pair_table(M, N, [M.members] * N.size)
     labels = None
     if M.labels is not None or N.labels is not None:
-        labels = tuple(
-            f"({M.label(a)},{N.label(b)})" for a in M.elements() for b in N.elements()
-        )
-    return FiniteMonoid(table, idx(M.identity, N.identity), labels)
+        right = [N.label(b) for b in N.members]
+        labels = tuple(f"({M.label(a)},{b})" for a in M.members for b in right)
+    return FiniteMonoid(table, M.identity * N.size + N.identity, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +557,9 @@ def enumerate_homs(B: Carrier, A: Carrier) -> list[ElementMap]:
         raise SizeBoundExceeded(f"homomorphism search capped at domain size {_HOM_DOMAIN_LIMIT}")
     cod = A.members
     k = len(dom)
-    pos = B.positions
-    dom_tab = carrier_monoid(B).table
-    prod_pos = [[pos[dom_tab[x][y]] for y in dom] for x in dom]
+    prod_pos = _position_monoid(B).table
     cod_tab = carrier_monoid(A).table
-    pinned = [(pos[carrier_identity(B)], carrier_identity(A))]
+    pinned = [(B.positions[carrier_identity(B)], carrier_identity(A))]
     candidates = [list(cod)] * k
     allowed = [frozenset(cod)] * k
     sweep = product_rule(prod_pos, cod_tab, [tuple(range(len(cod_tab)))] * k)

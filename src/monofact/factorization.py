@@ -8,7 +8,7 @@ inverting the multiplication map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .core import (
     Carrier,
@@ -83,36 +83,41 @@ def try_factorization(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> Factorizat
 
 def enumerate_factorizations(M: FiniteMonoid) -> list[Factorization]:
     """All factorizations, sorted by (first.members, second.members)."""
-    return _factorizations(M, enumerate_submonoids(M))
+    return [try_factorization(M, A, B) for A, B in _factorizations(M, enumerate_submonoids(M))]
 
 
-def _factorizations(M: FiniteMonoid, subs: Sequence[SubMonoid]) -> list[Factorization]:
-    """``enumerate_factorizations`` over the already enumerated submonoids ``subs``.
+def _factorizations(M: FiniteMonoid, subs: Sequence[SubMonoid]) -> Iterator[tuple]:
+    """The pairs (A, B) of the submonoids ``subs`` that factorize M, in member order.
 
-    Each A is tried only against the submonoids of |M| / |A| elements.
+    Each A is tried, by its partner test, only against the submonoids of
+    |M| / |A| elements.
     """
+    subs = sorted(subs, key=lambda S: S.members)
     by_size: dict[int, list[SubMonoid]] = {}
     for B in subs:
         by_size.setdefault(len(B), []).append(B)
-    out = []
     for A in subs:
         k, rest = divmod(M.size, len(A))
-        if rest:
-            continue
-        for B in by_size.get(k, ()):
-            fac = try_factorization(M, A, B)
-            if fac is not None:
-                out.append(fac)
-    out.sort(key=lambda f: (f.first.members, f.second.members))
-    return out
+        if not rest:
+            partner = _partner_test(M, A)
+            yield from ((A, B) for B in by_size.get(k, ()) if partner(B.members))
+
+
+def _partner_test(M: FiniteMonoid, A: SubMonoid) -> Callable[[Sequence[int]], bool]:
+    """Whether ``A x S -> M`` is injective on the members S of a subset.
+
+    An injective map between sets of |M| elements is a bijection, so when
+    |A| |S| = |M| the test says that (A, S) factorizes M.
+    """
+    rows = _rows(M, A)
+    return lambda S: len({row[s] for row in rows for s in S}) == len(rows) * len(S)
 
 
 def fac_over(M: FiniteMonoid, A: SubMonoid) -> list[SubMonoid]:
     """All second factors pairing with the fixed first factor ``A``.
 
-    A second factor B has ``|M| / |A|`` elements and ``A x B -> M`` is injective,
-    also on every submonoid of B; the walk prunes on both.  An injective map
-    between sets of |M| elements is a bijection, so every survivor pairs with A.
+    A second factor B has ``|M| / |A|`` elements and passes A's partner
+    test, as does every submonoid of B; the walk prunes on both.
     """
     if A.parent != M:
         raise ParentMismatch("first factor must be a submonoid of the monoid")
@@ -123,12 +128,8 @@ def fac_over(M: FiniteMonoid, A: SubMonoid) -> list[SubMonoid]:
     if k == n:  # A = {e}: M itself is the only n-element candidate
         candidates = [M.members]
     else:
-        rows = _rows(M, A)
-
-        def injective(S: list[int]) -> bool:
-            return len({row[s] for row in rows for s in S}) == len(rows) * len(S)
-
-        candidates = sorted(ms for ms in _closed_subsets(M, k, injective) if len(ms) == k)
+        walk = _closed_subsets(M, k, _partner_test(M, A))
+        candidates = sorted(ms for ms in walk if len(ms) == k)
     return [SubMonoid(M, ms) for ms in candidates]
 
 

@@ -15,12 +15,16 @@ from typing import Iterable, Sequence, Union
 from .core import (
     ElementMap,
     FiniteMonoid,
-    IndexOutOfRange,
     MonoidError,
     MonoidIso,
     ParentMismatch,
     SizeBoundExceeded,
     SubMonoid,
+    _associativity_witness,
+    _hom_witness,
+    _index,
+    _pair_table,
+    _position_monoid,
     compose,
     enumerate_homs,
     inverse_in,
@@ -83,25 +87,19 @@ class MonoidAction:
         for a in A.elements():
             if star[B.identity][a] != a:
                 raise AxiomViolation("A1", (a,))
-        for b1 in B.elements():
-            for b2 in B.elements():
-                row12 = star[B.table[b1][b2]]
-                row1, row2 = star[b1], star[b2]
-                for a in A.elements():
-                    if row12[a] != row1[row2[a]]:
-                        raise AxiomViolation("A2", (b1, b2, a))
+        witness = _associativity_witness(star, B.table)
+        if witness is not None:
+            raise AxiomViolation("A2", witness)
         for b in B.elements():
             if star[b][A.identity] != A.identity:
                 raise AxiomViolation("A3", (b,))
-        for b in B.elements():
-            row = star[b]
-            for a1 in A.elements():
-                for a2 in A.elements():
-                    if row[A.table[a1][a2]] != A.table[row[a1]][row[a2]]:
-                        raise AxiomViolation("A4", (b, a1, a2))
+        for b, row in enumerate(star):
+            witness = _hom_witness(row, A.table, A.table)
+            if witness is not None:
+                raise AxiomViolation("A4", (b, *witness))
 
     def apply(self, b: int, a: int) -> int:
-        return self.star[b][a]
+        return self.star[_index(b, self.actor.size)][_index(a, self.acted.size)]
 
 
 def validate_action(
@@ -119,9 +117,7 @@ def action_from_hom(
     ``phi`` maps the actor into the endomorphism monoid whose elements
     index ``endos``; the acted monoid is the endomorphisms' domain.
     """
-    B = phi.domain
-    if isinstance(B, SubMonoid):
-        B = B.as_monoid()
+    B = _position_monoid(phi.domain)
     A = endos[0].domain
     star = tuple(tuple(endos[phi(b)](a) for a in A.elements()) for b in phi.domain.members)
     return MonoidAction(B, A, star)
@@ -176,25 +172,15 @@ def semidirect(A: FiniteMonoid, act: MonoidAction, B: FiniteMonoid) -> Semidirec
     if act.acted != A or act.actor != B:
         raise ActionMismatch("action does not relate the supplied monoids")
     na, nb = A.size, B.size
-    star = act.star
-    atab, btab = A.table, B.table
 
     def idx(a: int, b: int) -> int:
         return a * nb + b
 
-    table = tuple(
-        tuple(
-            idx(atab[a1][star[b1][a2]], btab[b1][b2])
-            for a2 in range(na)
-            for b2 in range(nb)
-        )
-        for a1 in range(na)
-        for b1 in range(nb)
-    )
     labels = None
     if A.labels is not None or B.labels is not None:
-        labels = tuple(f"{A.label(a)}·{B.label(b)}" for a in range(na) for b in range(nb))
-    product = FiniteMonoid(table, idx(A.identity, B.identity), labels)
+        right = [B.label(b) for b in B.members]
+        labels = tuple(f"{A.label(a)}·{b}" for a in A.members for b in right)
+    product = FiniteMonoid(_pair_table(A, B, act.star), idx(A.identity, B.identity), labels)
     embed_a = ElementMap(A, product, tuple(idx(a, B.identity) for a in range(na)))
     embed_b = ElementMap(B, product, tuple(idx(A.identity, b) for b in range(nb)))
     proj_a = ElementMap(product, A, tuple(x // nb for x in range(na * nb)))
@@ -393,9 +379,7 @@ def normality_check(
         raise ValueError("side must be 'left', 'right' or 'both'")
     if N.parent != M or isinstance(X, SubMonoid) and X.parent != M:
         raise ParentMismatch("submonoids must belong to the monoid being tested")
-    xs = X.members if isinstance(X, SubMonoid) else tuple(X)
-    if any(type(x) is not int or not 0 <= x < M.size for x in xs):
-        raise IndexOutOfRange(f"elements {xs} not within 0..{M.size - 1}")
+    xs = [_index(x, M.size) for x in (X.members if isinstance(X, SubMonoid) else X)]
     table = M.table
     for x in xs:
         xN = {table[x][n] for n in N.members}

@@ -54,9 +54,9 @@ from .descent import (
 from .factorization import (
     Factorization,
     _columns,
+    _factorizations,
     _rows,
     characterize_factorization,
-    enumerate_factorizations,
     fac_over,
     first_factor_filter,
     second_factor_filter,
@@ -217,7 +217,8 @@ class _MonoidObjects:
 
     @cached_property
     def facs(self) -> tuple[Factorization, ...]:
-        return tuple(enumerate_factorizations(self.M))
+        M = self.M
+        return tuple(try_factorization(M, A, B) for A, B in _factorizations(M, self.subs))
 
     @cached_property
     def subgroups(self) -> list[SubMonoid]:

@@ -361,6 +361,37 @@ def unit_conjugacy_classes(count: int, unit_members, related, base_index):
     return class_of, len(numbering), base_class
 
 
+def action_violation_pointwise(B: FiniteMonoid, A: FiniteMonoid, star) -> tuple | None:
+    """The first (axiom, witness) that an action table of B on A breaks, A1 to A4, or None.
+
+    A1: the identity acts as the identity; A2: (b1*b2).a = b1.(b2.a); A3: b.e = e;
+    A4: b.(a1*a2) = (b.a1)*(b.a2).  Each axiom is scanned point by point.
+    """
+    bt, at = B.table, A.table
+    for a in A.elements():
+        if star[B.identity][a] != a:
+            return "A1", (a,)
+    for b1, b2, a in itertools.product(B.elements(), B.elements(), A.elements()):
+        if star[bt[b1][b2]][a] != star[b1][star[b2][a]]:
+            return "A2", (b1, b2, a)
+    for b in B.elements():
+        if star[b][A.identity] != A.identity:
+            return "A3", (b,)
+    for b, a1, a2 in itertools.product(B.elements(), A.elements(), A.elements()):
+        if star[b][at[a1][a2]] != at[star[b][a1]][star[b][a2]]:
+            return "A4", (b, a1, a2)
+    return None
+
+
+def pair_table_pointwise(A: FiniteMonoid, B: FiniteMonoid, star):
+    """The table of (a1, b1)(a2, b2) = (a1 * b1.a2, b1 * b2) on pairs indexed a * |B| + b."""
+    pairs = [(a, b) for a in A.elements() for b in B.elements()]
+    return tuple(
+        tuple(A.table[a1][star[b1][a2]] * B.size + B.table[b1][b2] for a2, b2 in pairs)
+        for a1, b1 in pairs
+    )
+
+
 def small_maps(M: FiniteMonoid, limit: int):
     """Every (A, values) with A a submonoid of M and values a map M -> A, |A|^|M| <= limit."""
     for members in sorted(submonoids_by_closure_walk(M)):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -449,3 +450,18 @@ def test_cli_import_leaves_the_process_pool_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestConsoleScript:
+    def test_entry_point_runs_verify(self, monkeypatch, capsys):
+        tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+        with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["monofact"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        argv = ["verify", "--max-size", "1", "--catalog"]
+        monkeypatch.setattr(sys, "argv", ["monofact", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == run(*argv)[1]

@@ -124,7 +124,7 @@ class TestAssociativityWitness:
     @settings(max_examples=500, deadline=None)
     def test_matches_scan(self, table):
         witness = oracles.associativity_witness_by_scan(table)
-        assert _associativity_witness(table) == witness
+        assert _associativity_witness(table, table) == witness
         if witness is not None:
             with pytest.raises(NotAssociative) as exc:
                 from_table(table)
@@ -531,6 +531,33 @@ class TestBoolIndicesRejected:
     def test_element_map_values(self):
         with pytest.raises(MonoidError, match="not a codomain element"):
             ElementMap(C3, C3, (False, True, 2))
+
+
+class TestAccessorsRejectBadIndices:
+    # a negative index would read a table from its end, a bool would pass as 0 or 1
+    @pytest.mark.parametrize("x", [-1, 3, True])
+    def test_mul(self, x):
+        with pytest.raises(IndexOutOfRange):
+            C3.mul(x, 1)
+        with pytest.raises(IndexOutOfRange):
+            C3.mul(0, x)
+
+    @pytest.mark.parametrize("x", [-1, 6, False])
+    def test_inverse(self, x):
+        with pytest.raises(IndexOutOfRange):
+            S3.inverse(x)
+
+    @pytest.mark.parametrize("x", [-2, 6, True])
+    def test_label(self, x):
+        with pytest.raises(IndexOutOfRange):
+            S3.label(x)
+
+    @pytest.mark.parametrize("x", [-1, 6, True])
+    def test_inverse_in(self, x):
+        with pytest.raises(IndexOutOfRange):
+            inverse_in(S3, x)
+        with pytest.raises(IndexOutOfRange):
+            inverse_in(SubMonoid(S3, (0, 1)), x)
 
 
 class TestBounds:

@@ -369,6 +369,15 @@ class TestOrderlyWalk:
         ours = [(f.first.members, f.second.members) for f in enumerate_factorizations(M)]
         assert ours == sorted(oracles.factorization_pairs(M))
 
+    def test_pair_search_counts_what_enumeration_inverts(self):
+        # info counts the pairs of _factorizations; enumerate_factorizations inverts them
+        population = [M for _, M in verify._population(4, True)] + list(PRODUCTS.values())
+        for M in population:
+            subs = enumerate_submonoids(M)
+            pairs = [(A.members, B.members) for A, B in factorization._factorizations(M, subs)]
+            facs = enumerate_factorizations(M)
+            assert pairs == [(f.first.members, f.second.members) for f in facs]
+
     @pytest.mark.parametrize("name", ["s3xc4", "s3xv4"])
     def test_fac_over_matches_pair_scan(self, name):
         # the subset-scan oracle is too slow at order 24

@@ -1,6 +1,10 @@
 import importlib
+import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from monofact.catalog import CATALOG
@@ -11,6 +15,7 @@ from monofact.core import (
     ParentMismatch,
     SizeBoundExceeded,
     SubMonoid,
+    _pair_table,
     direct_product,
     enumerate_homs,
     endomorphism_monoid,
@@ -60,6 +65,11 @@ class TestValidateAction:
     def test_inversion_ok(self):
         assert INVERSION.apply(1, 1) == 2
 
+    @pytest.mark.parametrize("b, a", [(-1, -1), (2, 0), (0, 3), (True, 0), (0, False)])
+    def test_apply_rejects_bad_indices(self, b, a):
+        with pytest.raises(IndexOutOfRange):
+            trivial_action(C2, C3).apply(b, a)
+
     def test_identity_row_must_fix(self):
         with pytest.raises(AxiomViolation) as exc:
             validate_action(C2, C4, [[(2 * a) % 4 for a in range(4)]] * 2)
@@ -103,6 +113,84 @@ class TestValidateAction:
         act = action_from_hom(ElementMap(S, end, values), endos)
         assert act.actor == S.as_monoid()
         assert act.star == action_from_hom(ElementMap(S.as_monoid(), end, values), endos).star
+
+
+NAMED3 = verify._population(3, True)
+POPULATION3 = [M for _, M in NAMED3]
+BATTERY3 = [act for _, act in verify._action_population(NAMED3)]
+# actors whose identity is not 0, so that no scan may take the identity to come first
+ACTORS = POPULATION3 + [oracles.relabeled(M, random.Random(i)) for i, M in enumerate(POPULATION3)]
+
+
+@st.composite
+def action_tables(draw):
+    """(B, A, star): random rows, or an order-3 battery action with one entry redrawn."""
+    if draw(st.booleans()):
+        B = draw(st.sampled_from(ACTORS))
+        A = draw(st.sampled_from(POPULATION3))
+        value = st.integers(0, A.size - 1)
+        star = [[draw(value) for _ in A.elements()] for _ in B.elements()]
+        if draw(st.booleans()):  # get past A1
+            star[B.identity] = list(A.elements())
+    else:
+        act = draw(st.sampled_from(BATTERY3))
+        B, A = act.actor, act.acted
+        star = [list(row) for row in act.star]
+        value = st.integers(0, A.size - 1)
+        star[draw(st.integers(0, B.size - 1))][draw(value)] = draw(value)
+    return B, A, tuple(map(tuple, star))
+
+
+class TestAxiomWitnesses:
+    """MonoidAction raises exactly the first violation of the pointwise A1-A4 scan."""
+
+    def assert_matches_scan(self, B, A, star):
+        expected = oracles.action_violation_pointwise(B, A, star)
+        if expected is None:
+            assert validate_action(B, A, star).star == star
+        else:
+            with pytest.raises(AxiomViolation) as exc:
+                validate_action(B, A, star)
+            assert (exc.value.axiom, exc.value.witness) == expected
+
+    @given(action_tables())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scan(self, drawn):
+        self.assert_matches_scan(*drawn)
+
+    def test_every_one_entry_change_of_small_battery_actions(self):
+        axioms = set()
+        for act in BATTERY3:
+            B, A = act.actor, act.acted
+            if A.size * B.size > 6:
+                continue
+            for b, a, v in itertools.product(B.elements(), A.elements(), A.elements()):
+                star = [list(row) for row in act.star]
+                star[b][a] = v
+                star = tuple(map(tuple, star))
+                self.assert_matches_scan(B, A, star)
+                found = oracles.action_violation_pointwise(B, A, star)
+                axioms.add(found and found[0])
+        assert axioms == {None, "A1", "A2", "A3", "A4"}
+
+
+class TestPairTable:
+    """The one pair-table builder against the pair product computed entry by entry."""
+
+    def test_battery_products(self):
+        for act in BATTERY3:
+            A, B = act.acted, act.actor
+            expected = oracles.pair_table_pointwise(A, B, act.star)
+            assert _pair_table(A, B, act.star) == expected
+
+    def test_direct_products(self):
+        for M, N in itertools.product(POPULATION3, repeat=2):
+            expected = oracles.pair_table_pointwise(M, N, [M.members] * N.size)
+            assert direct_product(M, N).table == expected
+
+    def test_catalog_semidirect(self):
+        # semidirect(C3, INVERSION, C2) builds the same table (TestSemidirect)
+        assert CATALOG["c3xc2"].table == oracles.pair_table_pointwise(C3, C2, INVERSION.star)
 
 
 class TestOppositeAction:

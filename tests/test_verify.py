@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from monofact import core, verify
+from monofact import core, factorization, verify
 from monofact.catalog import CATALOG
 from monofact.core import (
     ElementMap,
@@ -265,20 +265,27 @@ class TestActionBattery:
         assert (failed.instances, failed.passed, failed.counterexample) == (0, False, "planted")
 
     def test_shared_objects_built_once(self, monkeypatch):
-        calls = {"semidirect": 0, "enumerate_factorizations": 0}
-        for name in calls:
-            real = getattr(verify, name)
+        # the factorizations come from each unit's submonoids, not from a second enumeration
+        calls = {"semidirect": 0, "_factorizations": 0, "enumerate_submonoids": 0}
+        for module, name in [
+            (verify, "semidirect"),
+            (verify, "_factorizations"),
+            (verify, "enumerate_submonoids"),
+            (factorization, "enumerate_submonoids"),
+        ]:
+            real = getattr(module, name)
 
             def counting(*args, real=real, name=name):
                 calls[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(verify, name, counting)
+            monkeypatch.setattr(module, name, counting)
         verify_suite(2, catalog=False)
         pop = verify._population(2, False)
         assert calls == {
             "semidirect": len(verify._action_population(pop)),
-            "enumerate_factorizations": len(pop),
+            "_factorizations": len(pop),
+            "enumerate_submonoids": len(pop),
         }
 
     def test_second_run_rebuilds_its_state(self, monkeypatch):
