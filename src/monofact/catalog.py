@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import FiniteMonoid, _pair_table, direct_product, from_table
+from .core import FiniteMonoid, MonoidError, _pair_table, direct_product, from_table
 
 
 def _cyclic(n: int) -> FiniteMonoid:
@@ -74,7 +74,6 @@ CATALOG: dict[str, FiniteMonoid] = {
 
 
 def catalog_monoid(name: str) -> FiniteMonoid:
-    try:
-        return CATALOG[name]
-    except KeyError:
-        raise KeyError(f"unknown catalog monoid {name!r}; have {', '.join(CATALOG)}") from None
+    if name not in CATALOG:
+        raise MonoidError(f"unknown catalog monoid {name!r}; have {', '.join(CATALOG)}")
+    return CATALOG[name]

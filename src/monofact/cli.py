@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 from typing import IO, Sequence
 
-from .catalog import CATALOG
+from .catalog import CATALOG, catalog_monoid
 from .core import (
     _MONOID_ORDER_LIMIT,
     FiniteMonoid,
@@ -36,12 +36,6 @@ from .verify import verify_suite
 from .witnesses import integer_witnesses
 
 
-def _catalog_entry(name: str) -> FiniteMonoid:
-    if name not in CATALOG:
-        raise MonoidError(f"unknown catalog monoid {name!r}; have {', '.join(CATALOG)}")
-    return CATALOG[name]
-
-
 def _read_text(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
@@ -51,7 +45,7 @@ def _read_text(path: Path) -> str:
 
 def _load_document(ref: str) -> MonoidDocument:
     if ref.startswith("@"):
-        return MonoidDocument(_catalog_entry(ref[1:]), ref[1:])
+        return MonoidDocument(catalog_monoid(ref[1:]), ref[1:])
     path = Path(ref)
     return MonoidDocument(parse_document(_read_text(path)).monoid, path.stem)
 
@@ -249,7 +243,7 @@ def _cmd_witness(args, out: IO[str]) -> int:
 
 def _cmd_catalog(args, out: IO[str]) -> int:
     if args.name is not None:
-        M = _catalog_entry(args.name)
+        M = catalog_monoid(args.name)
         print(emit_monoid(M, name=args.name), end="", file=out)
         return 0
     for name, M in CATALOG.items():

@@ -266,7 +266,12 @@ class SubMonoid:
         return iter(self.members)
 
     def position(self, x: int) -> int:
-        return self.positions[x]
+        try:
+            if type(x) is int:  # a bool would pass as 0 or 1
+                return self.positions[x]
+        except KeyError:
+            pass
+        raise IndexOutOfRange(f"{x!r} is not a member of {self}")
 
     def as_monoid(self) -> FiniteMonoid:
         """The induced monoid on this subset, reindexed to ``0..k-1``."""
@@ -326,7 +331,12 @@ class ElementMap:
         object.__setattr__(self, "_positions", positions)
 
     def __call__(self, x: int) -> int:
-        return self.values[self._positions[x]]
+        try:
+            if type(x) is int:  # a bool would pass as 0 or 1
+                return self.values[self._positions[x]]
+        except KeyError:
+            pass
+        raise IndexOutOfRange(f"{x!r} is not a domain element")
 
     def is_homomorphism(self) -> bool:
         if self(carrier_identity(self.domain)) != carrier_identity(self.codomain):
@@ -349,11 +359,8 @@ def zero_map(domain: Carrier, codomain: Carrier) -> ElementMap:
 
 
 def compose(outer: ElementMap, inner: ElementMap) -> ElementMap:
-    """``outer`` after ``inner``; every inner image must be an outer argument."""
-    try:
-        values = tuple(outer(v) for v in inner.values)
-    except KeyError as exc:
-        raise MonoidError(f"maps do not compose: {exc} outside outer domain") from None
+    """``outer`` after ``inner``; an inner image outside outer's domain raises IndexOutOfRange."""
+    values = tuple(outer(v) for v in inner.values)
     return ElementMap(inner.domain, outer.codomain, values)
 
 

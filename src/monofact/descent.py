@@ -321,6 +321,8 @@ def descent_cohomology(
     keys = [q.values for q in cocycles]
     base_index = None
     if restrict_unit_on is not None:
+        if fac.to_first.values not in keys:
+            raise MonoidError(f"{fac}: the component map is not a unit-valued cocycle")
         base_index = keys.index(fac.to_first.values)
     image = lambda a0, i: star_act(a0, cocycles[i]).values
     return _orbit_classes(cocycles, keys, units(A).members, image, base_index)

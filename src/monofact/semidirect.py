@@ -401,11 +401,6 @@ class NormalityReport:
     action: MonoidAction | None
     product: SemidirectProduct | None
     iso: MonoidIso | None
-    group_case_m_normal: bool | None  # left normality against all of M, when A is a group
-
-    @property
-    def all_equivalent(self) -> bool:
-        return self.second_map_is_hom == self.left_normal == self.semidirect_presentation
 
 
 def factorization_normality_equivalences(fac: Factorization) -> NormalityReport:
@@ -413,9 +408,9 @@ def factorization_normality_equivalences(fac: Factorization) -> NormalityReport:
 
     (1) the second component map is a homomorphism; (2) the first factor
     is left-normal against the second; (3) twisting the first factor by
-    the recovered action reproduces the monoid.  The three verdicts must
-    agree; when they hold the recovered action and isomorphism are
-    returned.
+    the recovered action reproduces the monoid.  Unless the three verdicts
+    agree it raises InternalInconsistency; when they hold the recovered
+    action and isomorphism are returned.
     """
     M, A, B = fac.parent, fac.first, fac.second
     cond_hom = fac.to_second.is_homomorphism()
@@ -456,15 +451,7 @@ def factorization_normality_equivalences(fac: Factorization) -> NormalityReport:
             f"equivalent conditions disagree: hom={cond_hom}, "
             f"normal={cond_normal}, semidirect={cond_semidirect}"
         )
-
-    m_normal = None
-    if is_subgroup(M, A):
-        m_normal = normality_check(M, A, M.elements(), "left")
-        if m_normal != cond_normal:
-            raise InternalInconsistency("group-factor normality transfer failed")
-    return NormalityReport(
-        cond_hom, cond_normal, cond_semidirect, action, product, iso, m_normal
-    )
+    return NormalityReport(cond_hom, cond_normal, cond_semidirect, action, product, iso)
 
 
 @dataclass(frozen=True)
@@ -477,12 +464,6 @@ class SplitEpiReport:
     condition_factorization: bool  # kernel is a group and (kernel, image) factorizes
     condition_translation: bool  # fibers are unique kernel translates
     factorization: Factorization | None
-    kernel_left_normal: bool | None
-    round_trip_ok: bool | None
-
-    @property
-    def conditions_agree(self) -> bool:
-        return self.condition_factorization == self.condition_translation
 
 
 def split_epi_analysis(
@@ -490,11 +471,12 @@ def split_epi_analysis(
 ) -> SplitEpiReport:
     """Analyze a split homomorphism pair ``p: M -> B``, ``s: B -> M``.
 
-    Checks the equivalence between "the kernel is a group and pairs with
+    Judges the equivalence between "the kernel is a group and pairs with
     the section image as a factorization" and "equal images differ by a
-    unique kernel translate"; under either, the kernel is left-normal
+    unique kernel translate"; under either, the kernel must be left-normal
     against the section image and the factorization/cocycle/split-epi
-    round trips are materialized and verified.
+    round trip must close.  Each of these laws raises
+    InternalInconsistency when it fails.
     """
     _require_map(p, M, B)
     _require_map(s, B, M)
@@ -526,29 +508,23 @@ def split_epi_analysis(
             f"split-pair conditions disagree: factorization={cond_i}, translation={cond_ii}"
         )
 
-    left_normal = None
-    round_trip = None
     if cond_i:
-        left_normal = normality_check(M, kernel, image, "left")
-        if not left_normal:
+        if not normality_check(M, kernel, image, "left"):
             raise InternalInconsistency("split kernel is not left-normal against the image")
         # cocycle -> retraction onto the image -> same factorization
         q = fac.to_first
         q_dagger = ElementMap(
             M, image, tuple(table[inverse_in(kernel, q(m))][m] for m in M.elements())
         )
-        round_trip = (
+        if not (
             q_dagger.values == fac.to_second.values
             and all(q_dagger(x) == x for x in image.members)
             and tuple(m for m in M.elements() if q_dagger(m) == M.identity)
             == kernel.members
             and all(p(q_dagger(m)) == p(m) for m in M.elements())
-        )
-        if not round_trip:
+        ):
             raise InternalInconsistency("factorization/split-epi round trip failed")
-    return SplitEpiReport(
-        kernel, image, kernel_group, cond_i, cond_ii, fac, left_normal, round_trip
-    )
+    return SplitEpiReport(kernel, image, kernel_group, cond_i, cond_ii, fac)
 
 
 @dataclass(frozen=True)
@@ -602,11 +578,11 @@ def inner_action_and_convolution(
             raise InternalInconsistency("convolution left the homomorphism set")
         convolution_of.append(idx)
     bijection_ok = len(cocycles) == len(homs) and len(set(convolution_of)) == len(homs)
+    # h1 raises ActionMismatch unless the zero cocycle is among the cocycles
+    cocycle_classes = h1(act, cocycles=cocycles)
     zero = (A.identity,) * B.size
     zero_pos = next(i for i, c in enumerate(cocycles) if c.values == zero)
     pointed_ok = homs[convolution_of[zero_pos]].values == kappa.values
-
-    cocycle_classes = h1(act, cocycles=cocycles)
     inverse = A.inverses
     keys = [h.values for h in homs]
 
@@ -614,7 +590,9 @@ def inner_action_and_convolution(
         inv = inverse[a0]
         return tuple(atab[atab[a0][v]][inv] for v in keys[i])
 
-    kappa_pos = hom_index[kappa.values]
+    kappa_pos = hom_index.get(kappa.values)
+    if kappa_pos is None:
+        raise InternalInconsistency("the defining homomorphism is not in Hom(B, A)")
     hom_classes = _orbit_classes(homs, keys, units(A).members, conjugate, kappa_pos)
     induced_ok = _carries(cocycle_classes, hom_classes, convolution_of)
     return ConvolutionReport(

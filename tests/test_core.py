@@ -44,6 +44,12 @@ C3 = CATALOG["c3"]
 C4 = CATALOG["c4"]
 
 
+class TestCatalog:
+    def test_unknown_name(self):
+        with pytest.raises(MonoidError, match=r"^unknown catalog monoid 'nope'; have trivial, "):
+            catalog_monoid("nope")
+
+
 class TestFromTable:
     def test_trivial(self):
         M = from_table([[0]])
@@ -558,6 +564,23 @@ class TestAccessorsRejectBadIndices:
             inverse_in(S3, x)
         with pytest.raises(IndexOutOfRange):
             inverse_in(SubMonoid(S3, (0, 1)), x)
+
+
+    # 1.0 and True hash as 1, so a position lookup alone would take them
+    @pytest.mark.parametrize("x", [True, 1.0, -1], ids=["bool", "float", "negative"])
+    def test_element_map_call(self, x):
+        with pytest.raises(IndexOutOfRange):
+            identity_map(C3)(x)
+
+    @pytest.mark.parametrize("x", [True, 4], ids=["bool", "non-member"])
+    def test_submonoid_position(self, x):
+        with pytest.raises(IndexOutOfRange):
+            SubMonoid(S3, (0, 1)).position(x)
+
+    def test_compose_outside_the_outer_domain(self):
+        include = ElementMap(C2, S3, (0, 1))
+        with pytest.raises(IndexOutOfRange):
+            compose(include, ElementMap(S3, S3, (0, 1, 2, 3, 4, 5)))
 
 
 class TestBounds:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from monofact import core, factorization, verify
+from monofact import core, descent, factorization, verify
 from monofact.catalog import CATALOG
 from monofact.core import (
     ElementMap,
@@ -404,6 +404,115 @@ class TestPlantedFaults:
             "semidirect images failed to factorize the product"
         )
 
+    def assert_order2_lines(self, changed):
+        """Order 2 reads the ``changed`` lines on their checks and the golden on the rest."""
+        report = verify_suite(2, catalog=False)
+        assert_golden_except(report, "2 catalog=False", set(changed))
+        assert {c: line for c, line in self.lines(report.checks).items() if c in changed} == changed
+
+    def test_split_factorization_without_the_group_test(self, monkeypatch):
+        # split_epi_analysis judges the equivalence; both split checks read its raise
+        monkeypatch.setattr(self.SEMIDIRECT, "is_subgroup", lambda M, A: False)
+        reason = "split-pair conditions disagree: factorization=False, translation=True"
+        self.assert_order2_lines(
+            {
+                check: f"{check}: FAIL (0 instances) -- {reason}"
+                for check in ("split-epi-translation", "three-way-correspondence")
+            }
+        )
+
+    def test_normality_negated_against_all_of_m(self, monkeypatch):
+        real = verify.normality_check
+
+        def negated_on_element_lists(M, N, X, side="left"):
+            return real(M, N, X, side) != (not isinstance(X, SubMonoid))
+
+        monkeypatch.setattr(verify, "normality_check", negated_on_element_lists)
+        self.assert_order2_lines(
+            {
+                "group-factor-normality": "group-factor-normality: FAIL (1 instances) -- "
+                "order1#0 table=[[0]]; Factorization((0,), (0,)): normality transfer True vs False"
+            }
+        )
+
+    def test_repeated_cocycle(self, monkeypatch):
+        # fac_over lists each partner once, so the sorted comparison alone sees the repeat
+        real = verify.enumerate_descent_cocycles
+
+        def last_repeated(M, A, side):
+            qs = real(M, A, side)
+            return qs + qs[-1:]
+
+        monkeypatch.setattr(verify, "enumerate_descent_cocycles", last_repeated)
+        self.assert_order2_lines(
+            {
+                "cocycle-kernel-submonoid": "cocycle-kernel-submonoid: PASS (10 instances)",
+                "subgroup-cocycle-bijection": "subgroup-cocycle-bijection: FAIL (1 instances) -- "
+                "order1#0 table=[[0]]; subgroup (0,): kernels [(0,), (0,)] vs [(0,)]",
+                "three-way-correspondence": "three-way-correspondence: FAIL (1 instances) -- "
+                "order1#0 table=[[0]]; corner sizes 1, 2, 1",
+            }
+        )
+
+    def test_unit_valued_cocycles_without_the_component_map(self, monkeypatch):
+        real = descent._unit_valued
+
+        def without_base(M, A, B):
+            cocycles, fac = real(M, A, B)
+            return [q for q in cocycles if q.values != fac.to_first.values], fac
+
+        monkeypatch.setattr(descent, "_unit_valued", without_base)
+        fac = "order1#0 table=[[0]]; Factorization((0,), (0,))"
+        self.assert_order2_lines(
+            {
+                "equivalence-vs-conjugacy": "equivalence-vs-conjugacy: FAIL (0 instances)",
+                "unit-cocycle-bijection": "unit-cocycle-bijection: FAIL (1 instances) -- "
+                f"{fac}: kernels [] vs partners [(0,)]",
+                "groupoid-isomorphism": "groupoid-isomorphism: FAIL (1 instances) -- "
+                f"{fac}: kernel map is not a bijection of classes",
+                "restricted-cohomology": "restricted-cohomology: FAIL (0 instances) -- "
+                "Factorization((0,), (0,)): the component map is not a unit-valued cocycle",
+            }
+        )
+
+    def test_z1_without_the_zero_cocycle(self, monkeypatch):
+        real = self.SEMIDIRECT.z1
+
+        def without_zero(act, unit_valued=False):
+            zero = (act.acted.identity,) * act.actor.size
+            return [c for c in real(act, unit_valued) if c.values != zero]
+
+        monkeypatch.setattr(self.SEMIDIRECT, "z1", without_zero)
+        sections = "section/cocycle correspondence broke: (0,)"
+        self.assert_order2_lines(
+            {
+                **{
+                    check: f"{check}: FAIL (0 instances) -- {sections}"
+                    for check in (
+                        "sections-bijection",
+                        "unit-z1-second-factors",
+                        "h1-component-count",
+                    )
+                },
+                **{
+                    check: f"{check}: FAIL (0 instances) -- the cocycles lack the zero cocycle"
+                    for check in ("inner-convolution", "inner-convolution-classes")
+                },
+            }
+        )
+
+    def test_graph_that_ignores_its_cocycle(self, monkeypatch):
+        monkeypatch.setattr(verify, "fac_from_z1", lambda sd, chi: sd.second_image())
+        action = "order2#0 acting on order2#0 #0"
+        self.assert_order2_lines(
+            {
+                "unit-z1-second-factors": "unit-z1-second-factors: FAIL (5 instances) -- "
+                f"{action}: graphs [(0, 1), (0, 1)] vs partners [(0, 1), (0, 3)]",
+                "h1-component-count": "h1-component-count: FAIL (5 instances) -- "
+                f"{action}: graph map is not a bijection of classes",
+            }
+        )
+
 
 class TestSharedGroupoids:
     """Each group action is checked by ``groupoid_components``, built once per unit and factor."""
@@ -772,6 +881,19 @@ class TestShardedDriver:
             verify._run_checks(verify._population(2, False), shards)
         with pytest.raises(RuntimeError, match="not a monoid fault"):
             verify_suite(2, catalog=False)
+
+    def test_stop_iteration_does_not_end_the_shards(self, monkeypatch):
+        # the builtin map would take a StopIteration for its end and drop the later shards
+        real = verify.normality_check
+
+        def stop_at_order3(M, *args):
+            if M.size == 3:
+                raise StopIteration
+            return real(M, *args)
+
+        monkeypatch.setattr(verify, "normality_check", stop_at_order3)
+        with pytest.raises(RuntimeError, match="group-factor-normality raised StopIteration"):
+            verify._run_checks(verify._population(3, True), 50)
 
     def test_spawned_pool_matches_golden_and_leaves_no_worker(self, monkeypatch):
         import multiprocessing
