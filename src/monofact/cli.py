@@ -11,7 +11,6 @@ from typing import IO, Sequence
 
 from .catalog import CATALOG, catalog_monoid
 from .core import (
-    _MONOID_ORDER_LIMIT,
     FiniteMonoid,
     MonoidError,
     SubMonoid,
@@ -32,7 +31,7 @@ from .formats import (
 )
 from .semidirect import h1 as _h1
 from .semidirect import semidirect, z1 as _z1
-from .verify import verify_suite
+from .verify import _VERIFY_ORDER_LIMIT, verify_suite
 from .witnesses import integer_witnesses
 
 
@@ -338,9 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the structural check suite")
     p.add_argument("--max-size", dest="max_size", type=int, default=2, metavar="N",
-                   choices=range(1, _MONOID_ORDER_LIMIT + 1),
+                   choices=range(1, _VERIFY_ORDER_LIMIT + 1),
                    help="generate all monoids up to this order "
-                   f"(default 2, 1..{_MONOID_ORDER_LIMIT})")
+                   f"(default 2, 1..{_VERIFY_ORDER_LIMIT})")
     p.add_argument("--catalog", action="store_true", help="include the built-in catalog")
     p.set_defaults(func=_cmd_verify)
 

@@ -193,11 +193,16 @@ class FiniteMonoid:
         """``inverses[x]`` is the two-sided inverse of x, or None.
 
         A unit of a finite monoid has finite order, so its inverse is one of
-        its powers and lies in every submonoid that holds the unit.
+        its powers and lies in every submonoid that holds the unit.  In a
+        finite monoid xy = e forces yx = e and the inverse is unique, so the
+        first e in row x marks x's only candidate.
         """
         t, e = self.table, self.identity
-        rng = range(len(t))
-        return tuple(next((y for y in rng if t[x][y] == e == t[y][x]), None) for x in rng)
+        inv = []
+        for x, row in enumerate(t):
+            y = row.index(e) if e in row else None
+            inv.append(y if y is not None and t[y][x] == e else None)
+        return tuple(inv)
 
     def inverse(self, x: int) -> int | None:
         """Two-sided inverse of ``x``, or None."""
@@ -592,15 +597,17 @@ def endomorphism_monoid(A: FiniteMonoid) -> tuple[FiniteMonoid, list[ElementMap]
 # ---------------------------------------------------------------------------
 # exhaustive small-order enumeration
 
-_MONOID_ORDER_LIMIT = 4
+_MONOID_ORDER_LIMIT = 6
 
 
 def enumerate_monoids(n: int, up_to_iso: bool = False) -> list[FiniteMonoid]:
     """All associative tables on ``0..n-1`` with 0 as the identity.
 
     With ``up_to_iso`` only the lexicographically least representative of
-    each relabeling class (permutations fixing 0) is kept.  Exhaustive
-    generation is capped at order 4.
+    each relabeling class (permutations fixing 0) is built, by orderly
+    generation: the sweep compares the table with every relabeling of it
+    and prunes a partial table that some relabeling already undercuts.
+    Exhaustive generation is capped at order 6.
     """
     if n < 1:
         raise SizeBoundExceeded("order must be at least 1")
@@ -612,8 +619,31 @@ def enumerate_monoids(n: int, up_to_iso: bool = False) -> list[FiniteMonoid]:
     # row and column 0 are pinned before the first sweep, and every triple
     # through the identity has left == right, so the sweep skips them
     inner = range(1, n)
+    # each relabeling pi != id fixing 0, with the flat cell of the table that
+    # every relabeled cell off row and column 0 reads, in row-major order:
+    # the relabeled table holds pi[t[inv x][inv y]] at (x, y)
+    relabelings = []
+    if up_to_iso:
+        cells = [(x, y) for x in inner for y in inner]
+        for tail in itertools.permutations(inner):
+            if tail != tuple(inner):
+                pi = (0,) + tail
+                inv = sorted(range(n), key=pi.__getitem__)
+                relabelings.append((pi, [(x * n + y, inv[x] * n + inv[y]) for x, y in cells]))
 
     def sweep(assign: list) -> list[tuple[int, int]] | None:
+        # lex-leader test: the first cell where a relabeling differs from the
+        # table, with every cell before it known on both sides, decides pi
+        for pi, pairs in relabelings:
+            for cell, source in pairs:
+                t, s = assign[cell], assign[source]
+                if t is None or s is None:
+                    break
+                r = pi[s]
+                if r != t:
+                    if r < t:
+                        return None  # no completion is the least of its class
+                    break
         pins = []
         for x in inner:
             xn = x * n
@@ -638,26 +668,7 @@ def enumerate_monoids(n: int, up_to_iso: bool = False) -> list[FiniteMonoid]:
         return pins
 
     flats = search_assignments(n * n, pinned, candidates, allowed, sweep)
-    tables = [tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)) for flat in flats]
-    if up_to_iso:
-        tables = [t for t in tables if _is_canonical_table(t, n)]
-    return [FiniteMonoid(t, 0) for t in tables]
-
-
-def _relabeled_table(table, perm):
-    n = len(table)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(tuple(perm[table[inv[x]][inv[y]]] for y in range(n)) for x in range(n))
-
-
-def _is_canonical_table(table, n: int) -> bool:
-    for tail in itertools.permutations(range(1, n)):
-        perm = (0,) + tail
-        if _relabeled_table(table, perm) < table:
-            return False
-    return True
+    return [FiniteMonoid(tuple(flat[i * n : (i + 1) * n] for i in range(n)), 0) for flat in flats]
 
 
 def find_isomorphism(M: FiniteMonoid, N: FiniteMonoid) -> MonoidIso | None:

@@ -25,7 +25,6 @@ from .core import (
     _index,
     _pair_table,
     _position_monoid,
-    compose,
     enumerate_homs,
     inverse_in,
     is_subgroup,
@@ -119,7 +118,7 @@ def action_from_hom(
     """
     B = _position_monoid(phi.domain)
     A = endos[0].domain
-    star = tuple(tuple(endos[phi(b)](a) for a in A.elements()) for b in phi.domain.members)
+    star = tuple(endos[v].values for v in phi.values)
     return MonoidAction(B, A, star)
 
 
@@ -323,21 +322,22 @@ def sections(sd: SemidirectProduct) -> SectionsReport:
     section_index = {s.values: i for i, s in enumerate(secs)}
     try:
         section_of_cocycle = tuple(
-            section_index[tuple(pos_of_pair(c(b), b) for b in B.elements())]
+            section_index[tuple(pos_of_pair(v, b) for b, v in enumerate(c.values))]
             for c in cocycles
         )
+        proj_a = sd.proj_a.values
         cocycle_of_section = tuple(
-            cocycle_index[compose(sd.proj_a, s).values] for s in secs
+            cocycle_index[tuple(proj_a[x] for x in s.values)] for s in secs
         )
     except KeyError as exc:
         raise InternalInconsistency(f"section/cocycle correspondence broke: {exc}") from None
 
-    jA, inverse = sd.embed_a, A.inverses
+    jA, inverse = sd.embed_a.values, A.inverses
     keys = [s.values for s in secs]
     zero_section = section_of_cocycle[cocycle_index[(A.identity,) * nb]]
 
     def conjugate(a0: int, i: int) -> Values:
-        u, u_inv = jA(a0), jA(inverse[a0])
+        u, u_inv = jA[a0], jA[inverse[a0]]
         return tuple(ptab[ptab[u][v]][u_inv] for v in keys[i])
 
     classes = _orbit_classes(secs, keys, units(A).members, conjugate, zero_section)
@@ -355,13 +355,14 @@ def fac_from_z1(sd: SemidirectProduct, chi: Cocycle1) -> SubMonoid:
         raise ActionMismatch("cocycle belongs to a different action")
     if not chi.unit_valued:
         raise NotUnitValued("the cocycle must take values in the unit group")
-    A, B = sd.action.acted, sd.action.actor
-    graph = tuple(sorted(sd.pair_index(chi(b), b) for b in B.elements()))
-    atab = A.table
+    A = sd.action.acted
+    # chi is unit-valued, so every value has an inverse
+    values, atab, inverse = chi.values, A.table, A.inverses
+    graph = tuple(sorted(sd.pair_index(v, b) for b, v in enumerate(values)))
     kernel = []
     for x in sd.product.elements():
         a, b = sd.parts(x)
-        if atab[a][inverse_in(A, chi(b))] == A.identity:
+        if atab[a][inverse[values[b]]] == A.identity:
             kernel.append(x)
     if graph != tuple(kernel):
         raise InternalInconsistency("graph and induced-kernel routes disagree")
@@ -535,7 +536,6 @@ class ConvolutionReport:
     cocycles: tuple[Cocycle1, ...]
     homs: tuple[ElementMap, ...]
     convolution_of: tuple[int, ...]  # cocycle index -> homomorphism index
-    pointed_ok: bool  # the zero cocycle convolves to the defining homomorphism
     bijection_ok: bool
     cocycle_classes: CohomologyClasses
     hom_classes: CohomologyClasses
@@ -580,9 +580,6 @@ def inner_action_and_convolution(
     bijection_ok = len(cocycles) == len(homs) and len(set(convolution_of)) == len(homs)
     # h1 raises ActionMismatch unless the zero cocycle is among the cocycles
     cocycle_classes = h1(act, cocycles=cocycles)
-    zero = (A.identity,) * B.size
-    zero_pos = next(i for i, c in enumerate(cocycles) if c.values == zero)
-    pointed_ok = homs[convolution_of[zero_pos]].values == kappa.values
     inverse = A.inverses
     keys = [h.values for h in homs]
 
@@ -600,7 +597,6 @@ def inner_action_and_convolution(
         cocycles,
         homs,
         tuple(convolution_of),
-        pointed_ok,
         bijection_ok,
         cocycle_classes,
         hom_classes,

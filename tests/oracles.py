@@ -15,7 +15,6 @@ from monofact.core import (
     MonoidIso,
     NotInvertible,
     SubMonoid,
-    _relabeled_table,
     units,
 )
 
@@ -304,6 +303,24 @@ def monoid_tables_with_fixed_identity(n: int) -> list[tuple[tuple[int, ...], ...
     return out
 
 
+def relabeled_table(table, perm):
+    """The table carried along ``perm``: element x of ``table`` is element perm[x] of the result."""
+    n = len(table)
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return tuple(tuple(perm[table[inv[x]][inv[y]]] for y in range(n)) for x in range(n))
+
+
+def is_canonical_table(table) -> bool:
+    """Whether no relabeling fixing 0 gives a lexicographically smaller table, by trying all."""
+    n = len(table)
+    return all(
+        relabeled_table(table, (0,) + tail) >= table
+        for tail in itertools.permutations(range(1, n))
+    )
+
+
 def relabeled(M: FiniteMonoid, rng: random.Random) -> FiniteMonoid:
     """M carried along a random permutation p that moves the identity unless M is trivial.
 
@@ -312,7 +329,7 @@ def relabeled(M: FiniteMonoid, rng: random.Random) -> FiniteMonoid:
     perm = list(range(M.size))
     while M.size > 1 and perm[M.identity] == M.identity:
         rng.shuffle(perm)
-    return FiniteMonoid(_relabeled_table(M.table, perm), perm[M.identity])
+    return FiniteMonoid(relabeled_table(M.table, perm), perm[M.identity])
 
 
 def find_isomorphism_bruteforce(M: FiniteMonoid, N: FiniteMonoid) -> MonoidIso | None:

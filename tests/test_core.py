@@ -19,7 +19,6 @@ from monofact.core import (
     SizeBoundExceeded,
     SubMonoid,
     _associativity_witness,
-    _relabeled_table,
     compose,
     direct_product,
     endomorphism_monoid,
@@ -282,6 +281,11 @@ class TestInverseTable:
                     seen.add(is_subgroup(M, c))
         assert seen == {int, str, True, False}
 
+    def test_inverse_table_matches_scan_to_order5(self):
+        population = [M for n in range(1, 6) for M in enumerate_monoids(n, up_to_iso=True)]
+        for M in population + list(CATALOG.values()):
+            assert list(M.inverses) == [oracles.inverse_by_scan(M, x) for x in M.elements()]
+
 
 class TestOpposite:
     def test_commutative_fixed(self):
@@ -375,12 +379,47 @@ class TestEnumerateMonoids:
 
     def test_order_bound(self):
         with pytest.raises(SizeBoundExceeded):
-            enumerate_monoids(5)
+            enumerate_monoids(7)
 
     def test_deterministic_order(self):
         assert [M.table for M in enumerate_monoids(3)] == [
             M.table for M in enumerate_monoids(3)
         ]
+
+
+@pytest.fixture(scope="module")
+def order5():
+    return enumerate_monoids(5), enumerate_monoids(5, up_to_iso=True)
+
+
+class TestOrderlyGeneration:
+    """Isomorph-free generation against the relabeling filter and the published counts."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_classes_are_the_filtered_tables(self, order5, n):
+        tables, classes = order5 if n == 5 else (enumerate_monoids(n), enumerate_monoids(n, True))
+        filtered = [M.table for M in tables if oracles.is_canonical_table(M.table)]
+        assert [M.table for M in classes] == filtered
+
+    def test_class_counts(self):
+        # OEIS A058129: monoids of order n up to isomorphism
+        counts = [len(enumerate_monoids(n, up_to_iso=True)) for n in range(1, 7)]
+        assert counts == [1, 2, 7, 35, 228, 2237]
+
+    def test_labelled_counts(self, order5):
+        counts = [len(enumerate_monoids(n)) for n in range(1, 5)] + [len(order5[0])]
+        assert counts == [1, 2, 11, 156, 4122]
+
+    def test_order5_classification(self, order5):
+        # by find_isomorphism alone: every table lies in exactly one class,
+        # and each class in its own only
+        tables, classes = order5
+        buckets = {}
+        for C in classes:
+            buckets.setdefault(C.invariant, []).append(C)
+        for M in [*tables, *classes]:
+            found = [C for C in buckets.get(M.invariant, []) if find_isomorphism(M, C)]
+            assert len(found) == 1, M.table
 
 
 class TestFindIsomorphism:
@@ -479,7 +518,7 @@ class TestSignature:
         for M in tables_and_classes[n][0]:
             for tail in itertools.permutations(range(1, n)):
                 perm = (0,) + tail
-                R = FiniteMonoid(_relabeled_table(M.table, perm), 0)
+                R = FiniteMonoid(oracles.relabeled_table(M.table, perm), 0)
                 assert sorted(R.signature) == sorted(M.signature)
                 # R's element perm[x] is M's x
                 assert [R.signature[p] for p in perm] == list(M.signature)

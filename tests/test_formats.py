@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from monofact.catalog import CATALOG
 from monofact.core import (
     FiniteMonoid,
@@ -12,7 +13,6 @@ from monofact.core import (
     MonoidError,
     NoIdentity,
     NotAssociative,
-    _relabeled_table,
     enumerate_monoids,
 )
 from monofact.formats import (
@@ -31,7 +31,7 @@ INVERSION = validate_action(CATALOG["c2"], CATALOG["c3"], [[0, 1, 2], [0, 2, 1]]
 
 # every monoid on 0..n-1 for n <= 4: each identity-0 table under every relabeling
 SMALL_MONOIDS = [
-    FiniteMonoid(_relabeled_table(M.table, perm), perm[0])
+    FiniteMonoid(oracles.relabeled_table(M.table, perm), perm[0])
     for n in range(1, 5)
     for M in enumerate_monoids(n)
     for perm in itertools.permutations(range(n))

@@ -22,7 +22,6 @@ from monofact.core import (
     ElementMap,
     FiniteMonoid,
     SubMonoid,
-    _relabeled_table,
     enumerate_submonoids,
     opposite,
 )
@@ -100,7 +99,7 @@ def relabelings(draw):
     """
     M = draw(st.sampled_from([M for _, M in POPULATION if M.size > 1]))
     pi = draw(st.permutations(range(M.size)).filter(lambda p: p[M.identity] != M.identity))
-    return M, tuple(pi), FiniteMonoid(_relabeled_table(M.table, pi), pi[M.identity])
+    return M, tuple(pi), FiniteMonoid(oracles.relabeled_table(M.table, pi), pi[M.identity])
 
 
 def move_set(pi, members) -> tuple[int, ...]:

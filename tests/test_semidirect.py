@@ -243,6 +243,11 @@ class TestSemidirect:
         with pytest.raises(ActionMismatch):
             semidirect(C4, INVERSION, C2)
 
+    def test_battery_product_inverses(self):
+        for act in BATTERY3:
+            P = semidirect(act.acted, act, act.actor).product
+            assert list(P.inverses) == [oracles.inverse_by_scan(P, x) for x in P.elements()]
+
 
 class TestH0:
     def test_trivial_action_fixes_everything(self):
@@ -679,7 +684,9 @@ class TestConvolution:
         report = inner_action_and_convolution(C2, S3, kappa)
         assert len(report.cocycles) == 4
         assert len(report.homs) == 4
-        assert report.bijection_ok and report.pointed_ok
+        assert report.bijection_ok
+        zero_pos = next(i for i, c in enumerate(report.cocycles) if c.values == (0, 0))
+        assert report.homs[report.convolution_of[zero_pos]].values == kappa.values
         assert report.cocycle_classes.class_count == 2
         assert report.hom_classes.class_count == 2
         assert report.induced_bijection_ok

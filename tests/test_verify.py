@@ -803,6 +803,11 @@ class TestSizeBound:
         with pytest.raises(SizeBoundExceeded):
             verify_suite(bound, catalog=True)
 
+    def test_order_above_verify_bound_rejected(self):
+        # generation goes to order 6, verify to order 4
+        with pytest.raises(SizeBoundExceeded, match=r"1\.\.4"):
+            verify_suite(5, catalog=False)
+
 
 class TestShardedDriver:
     """Shards of each kind's units, merged in population order, give the one-walk report."""
