@@ -24,7 +24,6 @@ from .factorization import _factorizations, enumerate_factorizations, fac_over
 from .formats import (
     MonoidDocument,
     ParseError,
-    emit_document,
     emit_monoid,
     parse_action,
     parse_document,

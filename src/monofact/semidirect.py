@@ -396,9 +396,7 @@ def normality_check(
 class NormalityReport:
     """The three equivalent presentations of a left-normal factorization."""
 
-    second_map_is_hom: bool
-    left_normal: bool
-    semidirect_presentation: bool
+    left_normal: bool  # so the second map is a homomorphism, and iso is not None
     action: MonoidAction | None
     product: SemidirectProduct | None
     iso: MonoidIso | None
@@ -452,7 +450,7 @@ def factorization_normality_equivalences(fac: Factorization) -> NormalityReport:
             f"equivalent conditions disagree: hom={cond_hom}, "
             f"normal={cond_normal}, semidirect={cond_semidirect}"
         )
-    return NormalityReport(cond_hom, cond_normal, cond_semidirect, action, product, iso)
+    return NormalityReport(cond_normal, action, product, iso)
 
 
 @dataclass(frozen=True)
@@ -462,9 +460,8 @@ class SplitEpiReport:
     kernel: SubMonoid
     section_image: SubMonoid
     kernel_is_group: bool
-    condition_factorization: bool  # kernel is a group and (kernel, image) factorizes
     condition_translation: bool  # fibers are unique kernel translates
-    factorization: Factorization | None
+    factorization: Factorization | None  # (kernel, image), None unless condition_translation
 
 
 def split_epi_analysis(
@@ -525,7 +522,7 @@ def split_epi_analysis(
             and all(p(q_dagger(m)) == p(m) for m in M.elements())
         ):
             raise InternalInconsistency("factorization/split-epi round trip failed")
-    return SplitEpiReport(kernel, image, kernel_group, cond_i, cond_ii, fac)
+    return SplitEpiReport(kernel, image, kernel_group, cond_ii, fac)
 
 
 @dataclass(frozen=True)

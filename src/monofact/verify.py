@@ -7,7 +7,8 @@ the first counterexample, if any.  Independent routes are compared
 wherever the library offers two ways to compute the same thing.
 
 A check is declared in ``_CHECKS`` by its id, the kind of unit it runs on
-and a function from one unit to that unit's ``Outcome``.  ``_run_checks``
+and a function from one unit to that unit's ``Outcome``, made by ``_each``
+from the unit's instances and a test of one.  ``_run_checks``
 cuts each kind's units into contiguous shards, runs every check over each
 shard (in worker processes when the work pays for them) and merges the
 shards in population order into the counts, stops and failures one walk
@@ -39,7 +40,6 @@ from .core import (
 )
 from .descent import (
     CohomologyClasses,
-    NotAnAction,
     _carries,
     cocycle_kernel,
     conjugate_second_factor,
@@ -187,7 +187,7 @@ def _equivalent_cocycles(M: FiniteMonoid, A: SubMonoid, q, q2) -> bool:
     )
 
 
-def _kernels_conjugate(M: FiniteMonoid, A: SubMonoid, K1: SubMonoid, K2: SubMonoid) -> bool:
+def _kernels_conjugate(A: SubMonoid, K1: SubMonoid, K2: SubMonoid) -> bool:
     return any(
         conjugate_second_factor(a0, K2).members == K1.members
         for a0 in units(A).members
@@ -335,24 +335,25 @@ def _inner_homs(pairs: Iterable[Pair]) -> Iterator[_InnerHom]:
 # unit's description
 
 
-def _each(instances: Callable[[_MonoidObjects], Iterable]):
-    """Declare a monoid check with one instance per item of ``instances(u)``.
+def _each(instances: Callable[[object], Iterable]):
+    """Declare a check with one instance per item of ``instances(unit)``.
 
-    The decorated ``test(u, item)`` returns a counterexample or None; a
-    NotAnAction that it raises is its counterexample.
+    The decorated ``test(unit, item)`` returns a counterexample or None.  A
+    MonoidError raised while listing or judging the items is the
+    counterexample, counted with the items listed so far.
     """
 
-    def declare(test: Callable[[_MonoidObjects, object], "str | None"]):
-        def check(u: _MonoidObjects) -> Outcome:
+    def declare(test: Callable[[object, object], "str | None"]):
+        def check(unit) -> Outcome:
             count = 0
-            for item in instances(u):
-                count += 1
-                try:
-                    counterexample = test(u, item)
-                except NotAnAction as exc:
-                    counterexample = str(exc)
-                if counterexample is not None:
-                    return count, counterexample
+            try:
+                for item in instances(unit):
+                    count += 1
+                    counterexample = test(unit, item)
+                    if counterexample is not None:
+                        return count, counterexample
+            except MonoidError as exc:
+                return count, str(exc)
             return count, None
 
         return check
@@ -361,8 +362,8 @@ def _each(instances: Callable[[_MonoidObjects], Iterable]):
 
 
 def _single(test: Callable[[object], "str | None"]) -> Callable[[object], Outcome]:
-    """A check with one instance per unit."""
-    return lambda unit: (1, test(unit))
+    """A check with one instance per unit, the unit itself."""
+    return _each(lambda unit: (unit,))(lambda unit, _: test(unit))
 
 
 @_each(lambda u: u.facs)
@@ -424,7 +425,7 @@ def _star_restriction(u: _MonoidObjects, fac: Factorization) -> str | None:
 def _equivalence_vs_conjugacy(u: _MonoidObjects, instance) -> str | None:
     A, (q, kernel), (q2, kernel2) = instance
     lhs = _equivalent_cocycles(u.M, A, q, q2)
-    rhs = _kernels_conjugate(u.M, A, kernel, kernel2)
+    rhs = _kernels_conjugate(A, kernel, kernel2)
     if lhs != rhs:
         return f"equivalence {lhs} but conjugacy {rhs} for {q.values} vs {q2.values}"
     return None
@@ -432,10 +433,7 @@ def _equivalence_vs_conjugacy(u: _MonoidObjects, instance) -> str | None:
 
 @_each(lambda u: (q for A in u.subs for q in u.cocycles(A)))
 def _kernel_submonoid(u: _MonoidObjects, q) -> str | None:
-    try:
-        kernel = cocycle_kernel(q)  # construction validates closure
-    except MonoidError as exc:
-        return f"kernel not a submonoid: {exc}"
+    kernel = cocycle_kernel(q)  # construction validates closure
     if u.M.is_group() and not is_subgroup(u.M, kernel):
         return f"kernel {kernel} not a subgroup"
     return None
@@ -475,33 +473,34 @@ def _bicross_accepted(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> set[tuple]
     return {(f.values, g.values) for f in lefts for g in rights if verify_bicross(M, A, B, f, g)}
 
 
-# its own loop: it counts two kinds of instance, the factorizations, then the scanned pairs
-def _kernel_pair_characterization(u: _MonoidObjects) -> Outcome:
+def _scanned_pairs(u: _MonoidObjects) -> Iterator[tuple[SubMonoid, SubMonoid]]:
+    """The (A, B) pairs of submonoids within the kernel-pair scan limit, in order."""
+    n = u.M.size
+    for A, B in itertools.product(u.subs, repeat=2):
+        if len(A) ** n * len(B) ** n <= _BICROSS_SCAN_LIMIT:
+            yield A, B
+
+
+# two kinds of instance: the factorizations, then the scanned pairs
+@_each(lambda u: itertools.chain(u.facs, _scanned_pairs(u)))
+def _kernel_pair_characterization(u: _MonoidObjects, item) -> str | None:
     M = u.M
-    n = M.size
-    count = 0
-    for fac in u.facs:
-        count += 1
-        if not verify_bicross(M, fac.first, fac.second, fac.to_first, fac.to_second):
-            return count, f"component maps of {fac} rejected"
-    for A in u.subs:
-        for B in u.subs:
-            if len(A) ** n * len(B) ** n > _BICROSS_SCAN_LIMIT:
-                continue
-            fac = try_factorization(M, A, B)
-            expected = (
-                {(fac.to_first.values, fac.to_second.values)} if fac is not None else set()
-            )
-            count += 1
-            wrong = _bicross_accepted(M, A, B) ^ expected
-            if wrong:
-                l_vals, r_vals = min(wrong)
-                should = (l_vals, r_vals) in expected
-                return count, (
-                    f"pair ({A.members},{B.members}) maps {l_vals}/{r_vals}: "
-                    f"accepted={not should} expected={should}"
-                )
-    return count, None
+    if isinstance(item, Factorization):
+        if not verify_bicross(M, item.first, item.second, item.to_first, item.to_second):
+            return f"component maps of {item} rejected"
+        return None
+    A, B = item
+    fac = try_factorization(M, A, B)
+    expected = {(fac.to_first.values, fac.to_second.values)} if fac is not None else set()
+    wrong = _bicross_accepted(M, A, B) ^ expected
+    if wrong:
+        l_vals, r_vals = min(wrong)
+        should = (l_vals, r_vals) in expected
+        return (
+            f"pair ({A.members},{B.members}) maps {l_vals}/{r_vals}: "
+            f"accepted={not should} expected={should}"
+        )
+    return None
 
 
 @_each(lambda u: u.subgroups)
@@ -577,20 +576,15 @@ def _groupoid_isomorphism(u: _MonoidObjects, fac: Factorization) -> str | None:
     return _onto_partners(cocycles, kernels, u.partner_groupoid(fac.first), f"{fac}: kernel")
 
 
-# its own loop: a factorization counts |U(A)| instances, so one instance per unit
-# would change the failing count
-def _conjugation_action(u: _MonoidObjects) -> Outcome:
-    count = 0
-    for fac in u.facs:
-        A = fac.first
-        count += len(units(A))
-        if fac.second not in u.fac_over(A):
-            return count, f"{fac.second.members} is not a partner of {A.members}"
-        try:
-            u.partner_groupoid(A)  # U(A) acts on the partners, fac.second among them
-        except NotAnAction as exc:
-            return count, str(exc)
-    return count, None
+@_each(lambda u: ((fac, a0) for fac in u.facs for a0 in units(fac.first).members))
+def _conjugation_action(u: _MonoidObjects, instance) -> str | None:
+    fac, a0 = instance
+    A, B = fac.first, fac.second
+    conjugate = B if a0 == u.M.identity else conjugate_second_factor(a0, B)  # e * B * e = B
+    if conjugate not in u.fac_over(A):
+        return f"{conjugate.members} is not a partner of {A.members}"
+    u.partner_groupoid(A)  # U(A) acts on the partners
+    return None
 
 
 @_each(lambda u: u.facs)
@@ -799,7 +793,7 @@ _PAIRS_PER_WORKER = 100
 _SHARDS_PER_WORKER = 16
 
 Shard = tuple[str, tuple]  # a unit kind and a contiguous slice of its items
-Tally = tuple[int, "str | None", "str | None"]  # instances, counterexample, MonoidError
+Tally = Outcome  # instances, counterexample (with its unit's description) or None
 
 
 def _shards(pop: list[Named], count: int) -> list[Shard]:
@@ -816,49 +810,38 @@ def _run_shard(shard: Shard) -> dict[str, Tally]:
     """Every check of the shard's kind over its units, each stopping at its first failure."""
     kind, items = shard
     checks = [(check_id, check) for check_id, k, check in _CHECKS if k == kind]
-    counts = dict.fromkeys((check_id for check_id, _ in checks), 0)
-    stops: dict[str, tuple["str | None", "str | None"]] = {}
+    tallies: dict[str, Tally] = {check_id: (0, None) for check_id, _ in checks}
     for unit in _UNITS[kind](items):
-        running = [(i, check) for i, check in checks if i not in stops]
+        running = [(i, check) for i, check in checks if tallies[i][1] is None]
         if not running:
             break
         for check_id, check in running:
             try:
                 instances, counterexample = check(unit)
-            except MonoidError as exc:
-                stops[check_id] = (None, str(exc))
-                continue
             except StopIteration as exc:  # the builtin map would end as if out of shards
                 raise RuntimeError(f"{check_id} raised StopIteration") from exc
-            counts[check_id] += instances
             if counterexample is not None:
-                stops[check_id] = (unit.describe(counterexample), None)
-    return {i: (counts[i], *stops.get(i, (None, None))) for i in counts}
+                counterexample = unit.describe(counterexample)
+            tallies[check_id] = (tallies[check_id][0] + instances, counterexample)
+    return tallies
 
 
 def _merge(tallies: Iterable[dict[str, Tally]]) -> list[CheckResult]:
     """One result per check of ``_CHECKS``, from shard tallies in population order.
 
-    A check's count sums its shards up to the first that stopped it; a
-    counterexample there keeps the count so far, a MonoidError gives
-    (0, FAIL), and later shards are ignored.
+    A check's count sums its shards up to the first with a counterexample,
+    which it keeps; later shards are ignored.
     """
-    counts = dict.fromkeys((check_id for check_id, _, _ in _CHECKS), 0)
-    stopped: dict[str, Outcome] = {}
+    merged: dict[str, Outcome] = {check_id: (0, None) for check_id, _, _ in _CHECKS}
     for tally in tallies:
-        for check_id, (instances, counterexample, error) in tally.items():
-            if check_id in stopped:
-                continue
-            counts[check_id] += instances
-            if error is not None:
-                stopped[check_id] = (0, error)
-            elif counterexample is not None:
-                stopped[check_id] = (counts[check_id], counterexample)
-    results = []
-    for check_id, _, _ in _CHECKS:
-        instances, counterexample = stopped.get(check_id, (counts[check_id], None))
-        results.append(CheckResult(check_id, instances, counterexample is None, counterexample))
-    return results
+        for check_id, (instances, counterexample) in tally.items():
+            count, stop = merged[check_id]
+            if stop is None:
+                merged[check_id] = (count + instances, counterexample)
+    return [
+        CheckResult(check_id, instances, counterexample is None, counterexample)
+        for check_id, (instances, counterexample) in merged.items()
+    ]
 
 
 def _run_checks(pop: list[Named], shards: int = 1, mapper=map) -> list[CheckResult]:

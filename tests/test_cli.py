@@ -316,6 +316,7 @@ class TestMalformedInput:
         [
             pytest.param(("witness", "--bound", "0"), 2, id="bound-0"),
             pytest.param(("witness", "--bound", "-1"), 2, id="bound-negative"),
+            pytest.param(("witness", "--bound", "abc"), 2, id="bound-not-integer"),
             pytest.param(("witness", "--bound", "100000001"), 3, id="bound-over-cap"),
             pytest.param(("info", "--in", "{dir}/latin1.json"), 3, id="info-not-utf8"),
             pytest.param(("submonoids", "--in", "{dir}/latin1.json"), 3, id="submonoids-not-utf8"),

@@ -610,8 +610,7 @@ class TestNormalityEquivalences:
     def test_normal_group_factor(self):
         fac = try_factorization(S3, SubMonoid(S3, (0, 4, 5)), SubMonoid(S3, (0, 1)))
         report = factorization_normality_equivalences(fac)
-        assert report.second_map_is_hom and report.left_normal
-        assert report.semidirect_presentation
+        assert report.left_normal and report.iso is not None
         assert normality_check(S3, fac.first, S3.elements())  # normal against all of S3
         assert find_isomorphism(report.product.product, S3) is not None
         # the recovered action is the inversion twist on the rotation factor
@@ -622,7 +621,7 @@ class TestNormalityEquivalences:
             S3, SubMonoid(S3, (0,)), SubMonoid(S3, tuple(range(6)))
         )
         report = factorization_normality_equivalences(fac)
-        assert report.second_map_is_hom and report.left_normal
+        assert report.left_normal and fac.to_second.is_homomorphism()
 
     def test_direct_product_factorization(self):
         M = CATALOG["b2xc2"]
@@ -634,9 +633,7 @@ class TestNormalityEquivalences:
     def test_swapped_factors_all_false(self):
         fac = try_factorization(S3, SubMonoid(S3, (0, 1)), SubMonoid(S3, (0, 4, 5)))
         report = factorization_normality_equivalences(fac)
-        assert not report.second_map_is_hom
-        assert not report.left_normal
-        assert not report.semidirect_presentation
+        assert not report.left_normal and not fac.to_second.is_homomorphism()
         assert report.action is None and report.iso is None
 
 
@@ -645,14 +642,14 @@ class TestSplitEpi:
         sign = ElementMap(S3, C2, (0, 1, 1, 1, 0, 0))
         section = ElementMap(C2, S3, (0, 1))
         report = split_epi_analysis(S3, C2, sign, section)
-        assert report.condition_factorization and report.condition_translation
+        assert report.condition_translation and report.factorization is not None
         assert report.kernel.members == (0, 4, 5)
         assert report.section_image.members == (0, 1)
         assert normality_check(S3, report.kernel, report.section_image)
 
     def test_identity_pair(self):
         report = split_epi_analysis(S3, S3, identity_map(S3), identity_map(S3))
-        assert report.condition_factorization and report.condition_translation
+        assert report.condition_translation and report.factorization is not None
         assert report.kernel.members == (0,)
 
     def test_nongroup_kernel_fails_both(self):
@@ -661,8 +658,7 @@ class TestSplitEpi:
         section = ElementMap(C2, M, (0, 1))
         report = split_epi_analysis(M, C2, projection, section)
         assert not report.kernel_is_group
-        assert not report.condition_factorization
-        assert not report.condition_translation
+        assert not report.condition_translation and report.factorization is None
 
     def test_rejects_non_split_pair(self):
         to_unit = zero_map(S3, C2)

@@ -48,6 +48,10 @@ def patch_check(monkeypatch, check_id, check):
     monkeypatch.setattr(verify, "_CHECKS", table)
 
 
+def planted_error(unit):
+    raise MonoidError("planted")
+
+
 def result_of(report, check_id):
     return next(c for c in report.checks if c.check == check_id)
 
@@ -173,6 +177,20 @@ class TestKernelPairScan:
             "order1#0 table=[[0]]; pair ((0,),(0,)) maps (0,)/(0,): accepted=False expected=True"
         )
 
+    def test_rejected_factorization_maps_are_reported(self, monkeypatch):
+        # the factorizations are judged before the scan, so a rejection stops there
+        real = verify.verify_bicross
+        monkeypatch.setattr(
+            verify, "verify_bicross", lambda M, A, B, f, g: len(A) == 1 and real(M, A, B, f, g)
+        )
+        report = verify_suite(2, catalog=False)
+        assert_golden_except(report, "2 catalog=False", {"kernel-pair-characterization"})
+        # order1#0's factorization and pair, then C2's ({e}, C2) before (C2, {e})
+        assert result_of(report, "kernel-pair-characterization").line() == (
+            "kernel-pair-characterization: FAIL (4 instances) -- order2#0 table=[[0, 1], [1, 0]]; "
+            "component maps of Factorization((0, 1), (0,)) rejected"
+        )
+
     def test_wrongly_accepted_pair_is_reported(self, monkeypatch):
         real = verify._bicross_accepted
 
@@ -224,6 +242,11 @@ class TestActionBattery:
         assert [check_id for check_id, _, _ in verify._CHECKS] == self.CHECK_IDS
         assert len(self.CHECK_IDS) == 27
 
+    def test_every_check_is_an_each_declaration(self):
+        # _each holds the one instance loop and the one failure path
+        declared = verify._single(lambda unit: None).__qualname__
+        assert {fn.__qualname__ for _, _, fn in verify._CHECKS} == {declared}
+
     def test_order_and_counts(self):
         actions = verify._action_population(verify._population(2, False))
         results = verify_suite(2, catalog=False).checks
@@ -257,12 +280,22 @@ class TestActionBattery:
         assert failed.counterexample == planted_descriptions[kind]
 
     @pytest.mark.parametrize("target", CHECK_IDS)
-    def test_error_fails_only_its_check(self, monkeypatch, target):
-        def broken(unit):
-            raise MonoidError("planted")
+    def test_error_fails_only_its_check(self, monkeypatch, planted_descriptions, target):
+        kind = next(k for i, k, _ in verify._CHECKS if i == target)
+        seen = []
 
-        failed = self.run_patched(monkeypatch, target, broken)
-        assert (failed.instances, failed.passed, failed.counterexample) == (0, False, "planted")
+        @verify._single
+        def raise_at_k(unit):
+            seen.append(unit)
+            return planted_error(unit) if len(seen) == self.K else None
+
+        failed = self.run_patched(monkeypatch, target, raise_at_k)
+        # the raise is the counterexample of the instance it was judging, which counts
+        assert (failed.instances, failed.passed, failed.counterexample) == (
+            self.K,
+            False,
+            planted_descriptions[kind],
+        )
 
     def test_shared_objects_built_once(self, monkeypatch):
         # the factorizations come from each unit's submonoids, not from a second enumeration
@@ -382,13 +415,18 @@ class TestPlantedFaults:
         real = self.SEMIDIRECT.normality_check
         monkeypatch.setattr(self.SEMIDIRECT, "normality_check", lambda *a: not real(*a))
         lines = self.lines(verify_suite(2, catalog=False).checks)
+        unit = "order1#0 table=[[0]]"
         assert lines["semidirect-equivalence"] == (
-            "semidirect-equivalence: FAIL (0 instances) -- equivalent conditions disagree: "
-            "hom=True, normal=False, semidirect=True"
+            f"semidirect-equivalence: FAIL (1 instances) -- {unit}; "
+            "equivalent conditions disagree: hom=True, normal=False, semidirect=True"
         )
+        # split-epi-translation meets the raise while it lists its reports, so it counts
+        # none; three-way-correspondence meets it judging its one instance
         for check in ("split-epi-translation", "three-way-correspondence"):
+            listed = 0 if check == "split-epi-translation" else 1
             assert lines[check] == (
-                f"{check}: FAIL (0 instances) -- split kernel is not left-normal against the image"
+                f"{check}: FAIL ({listed} instances) -- {unit}; "
+                "split kernel is not left-normal against the image"
             )
 
     def test_images_that_do_not_factorize(self, monkeypatch):
@@ -400,7 +438,7 @@ class TestPlantedFaults:
         )
         lines = self.lines(verify_suite(2, catalog=False).checks)
         assert lines["semidirect-construction"] == (
-            "semidirect-construction: FAIL (0 instances) -- "
+            "semidirect-construction: FAIL (4 instances) -- order1#0 acting on order2#0 #0: "
             "semidirect images failed to factorize the product"
         )
 
@@ -413,11 +451,15 @@ class TestPlantedFaults:
     def test_split_factorization_without_the_group_test(self, monkeypatch):
         # split_epi_analysis judges the equivalence; both split checks read its raise
         monkeypatch.setattr(self.SEMIDIRECT, "is_subgroup", lambda M, A: False)
-        reason = "split-pair conditions disagree: factorization=False, translation=True"
+        reason = (
+            "order1#0 table=[[0]]; "
+            "split-pair conditions disagree: factorization=False, translation=True"
+        )
         self.assert_order2_lines(
             {
-                check: f"{check}: FAIL (0 instances) -- {reason}"
-                for check in ("split-epi-translation", "three-way-correspondence")
+                "split-epi-translation": f"split-epi-translation: FAIL (0 instances) -- {reason}",
+                "three-way-correspondence": "three-way-correspondence: FAIL (1 instances) -- "
+                f"{reason}",
             }
         )
 
@@ -470,8 +512,8 @@ class TestPlantedFaults:
                 f"{fac}: kernels [] vs partners [(0,)]",
                 "groupoid-isomorphism": "groupoid-isomorphism: FAIL (1 instances) -- "
                 f"{fac}: kernel map is not a bijection of classes",
-                "restricted-cohomology": "restricted-cohomology: FAIL (0 instances) -- "
-                "Factorization((0,), (0,)): the component map is not a unit-valued cocycle",
+                "restricted-cohomology": "restricted-cohomology: FAIL (1 instances) -- "
+                f"{fac}: the component map is not a unit-valued cocycle",
             }
         )
 
@@ -483,11 +525,12 @@ class TestPlantedFaults:
             return [c for c in real(act, unit_valued) if c.values != zero]
 
         monkeypatch.setattr(self.SEMIDIRECT, "z1", without_zero)
-        sections = "section/cocycle correspondence broke: (0,)"
+        sections = "order1#0 acting on order1#0 #0: section/cocycle correspondence broke: (0,)"
+        inner = "order1#0->order1#0 kappa=(0,): the cocycles lack the zero cocycle"
         self.assert_order2_lines(
             {
                 **{
-                    check: f"{check}: FAIL (0 instances) -- {sections}"
+                    check: f"{check}: FAIL (1 instances) -- {sections}"
                     for check in (
                         "sections-bijection",
                         "unit-z1-second-factors",
@@ -495,7 +538,7 @@ class TestPlantedFaults:
                     )
                 },
                 **{
-                    check: f"{check}: FAIL (0 instances) -- the cocycles lack the zero cocycle"
+                    check: f"{check}: FAIL (1 instances) -- {inner}"
                     for check in ("inner-convolution", "inner-convolution-classes")
                 },
             }
@@ -564,6 +607,30 @@ class TestSharedGroupoids:
             "identity moves SubMonoid((0,))"
         )
 
+    def test_conjugate_outside_the_partners_fails(self, monkeypatch):
+        real = verify.conjugate_second_factor
+
+        def escaping(a0, B):  # a non-identity unit sends every factor to the whole monoid
+            M = B.parent
+            return real(a0, B) if a0 == M.identity else SubMonoid(M, M.members)
+
+        report = self.planted(
+            monkeypatch, "conjugate_second_factor", escaping, self.CONJUGATION_READERS
+        )
+        # one instance per unit: C2's (C2, {e}) stops at its identity, the third instance,
+        # where the partner groupoid meets the escaping unit
+        assert result_of(report, "conjugation-action").line() == (
+            "conjugation-action: FAIL (3 instances) -- order2#0 table=[[0, 1], [1, 0]]; "
+            "composition fails at (1, 1, SubMonoid((0,)))"
+        )
+        # with the identity at 1, the unit 0 is judged first and its conjugate is no partner
+        c2 = verify._MonoidObjects("c2", core.FiniteMonoid(((1, 0), (0, 1)), 1))
+        assert [(fac.first.members, fac.second.members) for fac in c2.facs] == [
+            ((0, 1), (1,)),
+            ((1,), (0, 1)),
+        ]
+        assert verify._conjugation_action(c2) == (1, "(0, 1) is not a partner of (0, 1)")
+
     def test_missing_partner_fails(self, monkeypatch):
         # with no partner listed, the conjugation groupoid is empty and passes
         monkeypatch.setattr(verify, "fac_over", lambda M, A: [])
@@ -584,7 +651,7 @@ class TestSharedGroupoids:
         monkeypatch.setattr(verify, "groupoid_components", counting)
         pop = verify._population(3, True)
         tally = verify._run_shard(("monoid", tuple(pop)))
-        assert all(stop is error is None for _, stop, error in tally.values())
+        assert all(stop is None for _, stop in tally.values())
         units = [verify._MonoidObjects(name, M) for name, M in pop]
         with_cocycles = sum(1 for u in units for A in u.subs if u.cocycles(A))
         facs = sum(len(u.facs) for u in units)
@@ -627,7 +694,8 @@ class TestPartnerLookups:
         graph_checks = {"unit-z1-second-factors", "h1-component-count"}
         assert_golden_except(report, "1 catalog=False", graph_checks)
         assert result_of(report, "h1-component-count").line() == (
-            "h1-component-count: FAIL (0 instances) -- the cocycles lack the zero cocycle"
+            "h1-component-count: FAIL (1 instances) -- order1#0 acting on order1#0 #0: "
+            "the cocycles lack the zero cocycle"
         )
         assert not result_of(report, "unit-z1-second-factors").passed
 
@@ -709,8 +777,8 @@ class TestPartnerClassMaps:
         pop = verify._population(3, True)
         verdicts = [self.oracle(*args) for args in self.kernel_maps(pop)]
         tally = verify._run_shard(("monoid", tuple(pop)))
-        instances, counterexample, error = tally["groupoid-isomorphism"]
-        assert (instances, error) == (verdicts.index(False) + 1, None)
+        instances, counterexample = tally["groupoid-isomorphism"]
+        assert instances == verdicts.index(False) + 1
         assert counterexample.endswith(": kernel map is not a bijection of classes")
 
     def test_planted_graph_map_fails_where_the_oracle_does(self, monkeypatch):
@@ -725,7 +793,7 @@ class TestPartnerClassMaps:
             if not self.oracle(classes, ob.graphs, singletons):
                 break
         tally = verify._run_shard(("action", pairs))
-        assert tally["h1-component-count"][:2] == (
+        assert tally["h1-component-count"] == (
             instances,
             f"{desc}: graph map is not a bijection of classes",
         )
@@ -754,7 +822,7 @@ class TestBuildCounts:
         pairs = tuple(verify._battery_pairs(verify._population(3, True)))
         for kind in ("action", "inner"):
             tally = verify._run_shard((kind, pairs))
-            assert all(stop is error is None for _, stop, error in tally.values())
+            assert all(stop is None for _, stop in tally.values())
         # one unit group per monoid, one second factor per action's two readers
         assert builds["units"] <= 1977
         assert builds["second_image"] <= 1956
@@ -781,7 +849,7 @@ class TestRelabelingInvariance:
 
     def assert_same_tallies(self, kind, items, moved):
         tally = verify._run_shard((kind, tuple(items)))
-        assert all(stop is error is None for _, stop, error in tally.values())
+        assert all(stop is None for _, stop in tally.values())
         assert verify._run_shard((kind, tuple(moved))) == tally
 
     def test_monoid_kind(self):
@@ -816,20 +884,23 @@ class TestShardedDriver:
     PLANTED = ("first-factor-necessity", "sections-bijection", "inner-convolution")
 
     def planted_halfway(self, monkeypatch, target, pop, fail):
-        """Patch ``target`` to call ``fail`` at the units halfway through its kind and last.
+        """Patch ``target`` to run ``fail`` on the units halfway through its kind and last.
 
-        Returns the halfway unit's description of the detail "planted".
+        ``fail`` is a declared check with one failing instance.  Returns the
+        halfway unit's description of the detail "planted" and the count of a
+        walk that stops there.
         """
         kind, real = next((k, fn) for i, k, fn in verify._CHECKS if i == target)
         items = pop if kind == "monoid" else list(verify._battery_pairs(pop))
-        descriptions = [unit.describe("planted") for unit in verify._UNITS[kind](items)]
-        at = (descriptions[len(descriptions) // 2], descriptions[-1])
+        units = list(verify._UNITS[kind](items))
+        half = len(units) // 2
+        at = (units[half].describe("planted"), units[-1].describe("planted"))
 
         def check(unit):
-            return fail() if unit.describe("planted") in at else real(unit)
+            return fail(unit) if unit.describe("planted") in at else real(unit)
 
         patch_check(monkeypatch, target, check)
-        return at[0]
+        return at[0], sum(real(unit)[0] for unit in units[:half]) + 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("catalog", [False, True])
@@ -853,27 +924,24 @@ class TestShardedDriver:
     @pytest.mark.parametrize("shards", [2, 1000])
     def test_counterexample_in_a_later_shard(self, monkeypatch, target, shards):
         pop = verify._population(2, False)
-        at = self.planted_halfway(monkeypatch, target, pop, lambda: (1, "planted"))
+        fail = verify._single(lambda unit: "planted")
+        at, count = self.planted_halfway(monkeypatch, target, pop, fail)
         serial = verify._run_checks(pop, 1)
         sharded = verify._run_checks(pop, shards)
         assert sharded == serial
         stopped = next(c for c in sharded if c.check == target)
         assert (stopped.passed, stopped.counterexample) == (False, at)
-        assert stopped.instances > 1
+        assert stopped.instances == count > 1
         # every other check ran on past the stop, within its shard and after it
         assert_golden_except(verify.VerifyReport("", tuple(sharded)), self.KEY, {target})
 
     @pytest.mark.parametrize("target", PLANTED)
     def test_error_in_a_later_shard_fails_only_its_check(self, monkeypatch, target):
         pop = verify._population(2, False)
-
-        def fail():
-            raise MonoidError("planted")
-
-        self.planted_halfway(monkeypatch, target, pop, fail)
+        at, count = self.planted_halfway(monkeypatch, target, pop, verify._single(planted_error))
         results = verify._run_checks(pop, 1000)
         failed = next(c for c in results if c.check == target)
-        assert (failed.instances, failed.passed, failed.counterexample) == (0, False, "planted")
+        assert (failed.instances, failed.passed, failed.counterexample) == (count, False, at)
         assert_golden_except(verify.VerifyReport("", tuple(results)), self.KEY, {target})
 
     @pytest.mark.parametrize("shards", [1, 1000])
