@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .search import product_rule, search_assignments
 
@@ -97,8 +97,26 @@ def _hom_witness(f: Sequence[int], prod: Sequence, cod: Sequence) -> tuple[int, 
     return None
 
 
+class _Carrier:
+    """A monoid or submonoid: sorted ``members`` of a ``parent``, and what they derive."""
+
+    @cached_property
+    def member_set(self) -> frozenset[int]:
+        return frozenset(self.members)
+
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        return {x: i for i, x in enumerate(self.members)}
+
+    @cached_property
+    def _units(self) -> SubMonoid:
+        """The unit group, built once; ``units`` reads it."""
+        inv = self.parent.inverses
+        return SubMonoid(self.parent, tuple(x for x in self.members if inv[x] is not None))
+
+
 @dataclass(frozen=True)
-class FiniteMonoid:
+class FiniteMonoid(_Carrier):
     """An associative Cayley table with a distinguished two-sided identity.
 
     Validation happens at construction: entries in range, associativity
@@ -148,10 +166,13 @@ class FiniteMonoid:
     def members(self) -> tuple[int, ...]:
         return tuple(range(len(self.table)))
 
-    @cached_property
-    def positions(self) -> dict[int, int]:
-        """The identity position table, shared by every map out of this monoid."""
-        return {x: x for x in range(len(self.table))}
+    @property
+    def parent(self) -> FiniteMonoid:
+        return self
+
+    def as_monoid(self) -> FiniteMonoid:
+        """The monoid on the carrier's positions ``0..k-1``, here the monoid itself."""
+        return self
 
     @cached_property
     def signature(self) -> tuple[tuple[bool, bool, int, int, int, int], ...]:
@@ -208,12 +229,6 @@ class FiniteMonoid:
         """Two-sided inverse of ``x``, or None."""
         return self.inverses[_index(x, len(self.table))]
 
-    @cached_property
-    def _units(self) -> SubMonoid:
-        """The unit group, built once; ``units`` reads it."""
-        inv = self.inverses
-        return SubMonoid(self, tuple(x for x in self.members if inv[x] is not None))
-
     def is_commutative(self) -> bool:
         return self.table == self.columns
 
@@ -229,7 +244,7 @@ class FiniteMonoid:
 
 
 @dataclass(frozen=True)
-class SubMonoid:
+class SubMonoid(_Carrier):
     """A sorted subset of a parent monoid, containing the identity and closed."""
 
     parent: FiniteMonoid
@@ -246,20 +261,12 @@ class SubMonoid:
         if self.parent.identity not in members:
             raise MonoidError("a submonoid must contain the identity")
         table = self.parent.table
-        inside = frozenset(members)
+        inside = self.member_set
         for x in members:
             row = table[x]
             for y in members:
                 if row[y] not in inside:
                     raise MonoidError(f"not closed: {x}*{y} = {row[y]} escapes the subset")
-
-    @cached_property
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-    @cached_property
-    def positions(self) -> dict[int, int]:
-        return {x: i for i, x in enumerate(self.members)}
 
     def __contains__(self, x: int) -> bool:
         return x in self.member_set
@@ -293,23 +300,6 @@ class SubMonoid:
         return f"SubMonoid({self.members})"
 
 
-Carrier = Union[FiniteMonoid, SubMonoid]
-
-
-def carrier_monoid(c: Carrier) -> FiniteMonoid:
-    """The ambient monoid whose indices a carrier's elements live in."""
-    return c.parent if isinstance(c, SubMonoid) else c
-
-
-def carrier_identity(c: Carrier) -> int:
-    return carrier_monoid(c).identity
-
-
-def _position_monoid(c: Carrier) -> FiniteMonoid:
-    """The carrier as a monoid on its positions ``0..k-1``, the domain side of its maps."""
-    return c.as_monoid() if isinstance(c, SubMonoid) else c
-
-
 @dataclass(frozen=True)
 class ElementMap:
     """A total map between carriers, stored as a value table.
@@ -319,8 +309,8 @@ class ElementMap:
     is the domain's own, so building a map allocates no lookup structure.
     """
 
-    domain: Carrier
-    codomain: Carrier
+    domain: _Carrier
+    codomain: _Carrier
     values: tuple[int, ...]
 
     def __post_init__(self):
@@ -344,23 +334,22 @@ class ElementMap:
         raise IndexOutOfRange(f"{x!r} is not a domain element")
 
     def is_homomorphism(self) -> bool:
-        if self(carrier_identity(self.domain)) != carrier_identity(self.codomain):
+        if self(self.domain.parent.identity) != self.codomain.parent.identity:
             return False
-        prod = _position_monoid(self.domain).table
-        return _hom_witness(self.values, prod, carrier_monoid(self.codomain).table) is None
+        prod = self.domain.as_monoid().table
+        return _hom_witness(self.values, prod, self.codomain.parent.table) is None
 
     def __repr__(self) -> str:
         return f"ElementMap({self.values})"
 
 
-def identity_map(c: Carrier) -> ElementMap:
+def identity_map(c: _Carrier) -> ElementMap:
     return ElementMap(c, c, c.members)
 
 
-def zero_map(domain: Carrier, codomain: Carrier) -> ElementMap:
+def zero_map(domain: _Carrier, codomain: _Carrier) -> ElementMap:
     """The map sending every element to the codomain's identity."""
-    e = carrier_identity(codomain)
-    return ElementMap(domain, codomain, (e,) * len(domain.members))
+    return ElementMap(domain, codomain, (codomain.parent.identity,) * len(domain.members))
 
 
 def compose(outer: ElementMap, inner: ElementMap) -> ElementMap:
@@ -411,22 +400,18 @@ def from_table(
     return FiniteMonoid(rows, e, labels)
 
 
-def units(c: Carrier) -> SubMonoid:
-    """The group of invertible elements, as a submonoid of the ambient monoid.
+def units(c: _Carrier) -> SubMonoid:
+    """The group of invertible elements, as a submonoid of the ambient monoid, built once.
 
-    An inverse lies in every submonoid that holds its unit, so the units of
-    a ``SubMonoid`` are its members that are units of the parent.  A
-    ``FiniteMonoid`` builds its unit group once.
+    An inverse is a power of its unit, so it lies in every submonoid that
+    holds the unit: a carrier's units are its members that are units of the parent.
     """
-    if isinstance(c, FiniteMonoid):
-        return c._units
-    inv = c.parent.inverses
-    return SubMonoid(c.parent, tuple(x for x in c.members if inv[x] is not None))
+    return c._units
 
 
-def inverse_in(c: Carrier, x: int) -> int:
+def inverse_in(c: _Carrier, x: int) -> int:
     """The inverse of ``x`` inside the carrier; raises NotInvertible."""
-    inv = carrier_monoid(c).inverses
+    inv = c.parent.inverses
     y = inv[_index(x, len(inv))]
     if y is None or x not in c.positions:
         raise NotInvertible(f"element {x} has no inverse in the carrier")
@@ -559,7 +544,7 @@ def direct_product(M: FiniteMonoid, N: FiniteMonoid) -> FiniteMonoid:
 _HOM_DOMAIN_LIMIT = 8
 
 
-def enumerate_homs(B: Carrier, A: Carrier) -> list[ElementMap]:
+def enumerate_homs(B: _Carrier, A: _Carrier) -> list[ElementMap]:
     """All unit-preserving multiplicative maps ``B -> A``, in value order.
 
     Always contains the zero map; exhaustive only for domains of size <= 8.
@@ -569,9 +554,9 @@ def enumerate_homs(B: Carrier, A: Carrier) -> list[ElementMap]:
         raise SizeBoundExceeded(f"homomorphism search capped at domain size {_HOM_DOMAIN_LIMIT}")
     cod = A.members
     k = len(dom)
-    prod_pos = _position_monoid(B).table
-    cod_tab = carrier_monoid(A).table
-    pinned = [(B.positions[carrier_identity(B)], carrier_identity(A))]
+    prod_pos = B.as_monoid().table
+    cod_tab = A.parent.table
+    pinned = [(B.positions[B.parent.identity], A.parent.identity)]
     candidates = [list(cod)] * k
     allowed = [frozenset(cod)] * k
     sweep = product_rule(prod_pos, cod_tab, [tuple(range(len(cod_tab)))] * k)

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
 from .core import (
-    Carrier,
     ElementMap,
     FiniteMonoid,
     ParentMismatch,
     SubMonoid,
+    _Carrier,
     _closed_subsets,
     enumerate_submonoids,
 )
@@ -181,7 +181,7 @@ def _require_factors(M: FiniteMonoid, A: SubMonoid, B: SubMonoid) -> None:
         raise ParentMismatch("factors must be submonoids of the monoid being factorized")
 
 
-def _require_map(f: ElementMap, domain: Carrier, codomain: Carrier) -> None:
+def _require_map(f: ElementMap, domain: _Carrier, codomain: _Carrier) -> None:
     """Raise ParentMismatch unless ``f`` maps ``domain`` to ``codomain``."""
     if f.domain != domain or f.codomain != codomain:
         raise ParentMismatch(f"{f!r} must map {domain!r} to {codomain!r}")

@@ -21,10 +21,10 @@ from .core import (
     SizeBoundExceeded,
     SubMonoid,
     _associativity_witness,
+    _Carrier,
     _hom_witness,
     _index,
     _pair_table,
-    _position_monoid,
     enumerate_homs,
     inverse_in,
     is_subgroup,
@@ -116,7 +116,7 @@ def action_from_hom(
     ``phi`` maps the actor into the endomorphism monoid whose elements
     index ``endos``; the acted monoid is the endomorphisms' domain.
     """
-    B = _position_monoid(phi.domain)
+    B = phi.domain.as_monoid()
     A = endos[0].domain
     star = tuple(endos[v].values for v in phi.values)
     return MonoidAction(B, A, star)
@@ -202,7 +202,6 @@ class Cocycle1:
 
     action: MonoidAction
     underlying: ElementMap
-    unit_valued: bool
 
     def __call__(self, b: int) -> int:
         return self.underlying(b)
@@ -210,6 +209,11 @@ class Cocycle1:
     @property
     def values(self) -> tuple[int, ...]:
         return self.underlying.values
+
+    @property
+    def unit_valued(self) -> bool:
+        """Whether every value is a unit of the acted monoid."""
+        return units(self.action.acted).member_set.issuperset(self.values)
 
     def __repr__(self) -> str:
         return f"Cocycle1({self.values})"
@@ -236,11 +240,7 @@ def z1(act: MonoidAction, unit_valued: bool = False) -> list[Cocycle1]:
     pinned = [(B.identity, A.identity)]
     sweep = product_rule(B.table, A.table, act.star)
     solutions = search_assignments(nb, pinned, candidates, allowed, sweep)
-    unit_set = units(A).member_set
-    return [
-        Cocycle1(act, ElementMap(B, A, values), all(v in unit_set for v in values))
-        for values in solutions
-    ]
+    return [Cocycle1(act, ElementMap(B, A, values)) for values in solutions]
 
 
 Values = tuple[int, ...]
@@ -372,15 +372,16 @@ def fac_from_z1(sd: SemidirectProduct, chi: Cocycle1) -> SubMonoid:
 def normality_check(
     M: FiniteMonoid,
     N: SubMonoid,
-    X: Union[SubMonoid, Iterable[int]],
+    X: Union[_Carrier, Iterable[int]],
     side: str = "left",
 ) -> bool:
     """Whether x*N is contained in N*x (left), the reverse (right), or both."""
     if side not in ("left", "right", "both"):
         raise ValueError("side must be 'left', 'right' or 'both'")
-    if N.parent != M or isinstance(X, SubMonoid) and X.parent != M:
+    carrier = isinstance(X, _Carrier)
+    if N.parent != M or carrier and X.parent != M:
         raise ParentMismatch("submonoids must belong to the monoid being tested")
-    xs = [_index(x, M.size) for x in (X.members if isinstance(X, SubMonoid) else X)]
+    xs = [_index(x, M.size) for x in (X.members if carrier else X)]
     table = M.table
     for x in xs:
         xN = {table[x][n] for n in N.members}

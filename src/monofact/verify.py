@@ -247,17 +247,21 @@ class _MonoidObjects:
         build = lambda: groupoid_components(self.fac_over(A), units(A), conjugate_second_factor)
         return self._once(("partner_groupoid", A), build)
 
-    def split_reports(self, S: SubMonoid) -> list[tuple[tuple[int, ...], SplitEpiReport]]:
-        """Each retraction onto S with the ``split_epi_analysis`` of the pair it splits."""
+    @cached_property
+    def retractions(self) -> tuple[tuple[SubMonoid, tuple[int, ...]], ...]:
+        """Each (S, retraction onto S), S in submonoid order."""
+        return tuple((S, r) for S in self.subs for r in _retractions(self.M, S))
 
-        def analyse() -> Iterator[tuple[tuple[int, ...], SplitEpiReport]]:
+    def split_report(self, S: SubMonoid, retraction: tuple[int, ...]) -> SplitEpiReport:
+        """The ``split_epi_analysis`` of the pair that ``retraction`` onto S splits."""
+
+        def analyse() -> SplitEpiReport:
             target = S.as_monoid()
             inclusion = ElementMap(target, self.M, S.members)
-            for retraction in _retractions(self.M, S):
-                projection = ElementMap(self.M, target, tuple(map(S.position, retraction)))
-                yield retraction, split_epi_analysis(self.M, target, projection, inclusion)
+            projection = ElementMap(self.M, target, tuple(map(S.position, retraction)))
+            return split_epi_analysis(self.M, target, projection, inclusion)
 
-        return self._once(("split", S), lambda: list(analyse()))
+        return self._once(("split", S, retraction), analyse)
 
 
 def _retractions(M: FiniteMonoid, S: SubMonoid) -> list[tuple[int, ...]]:
@@ -602,9 +606,10 @@ def _group_factor_normality(u: _MonoidObjects, fac: Factorization) -> str | None
     return None
 
 
-@_each(lambda u: (report for S in u.subs for _, report in u.split_reports(S)))
-def _split_epi_translation(u: _MonoidObjects, report: SplitEpiReport) -> str | None:
-    return None  # split_epi_analysis raised unless its two conditions agree
+@_each(lambda u: u.retractions)
+def _split_epi_translation(u: _MonoidObjects, pair) -> str | None:
+    u.split_report(*pair)  # split_epi_analysis raises unless its two conditions agree
+    return None
 
 
 @_single
@@ -624,9 +629,8 @@ def _three_way_correspondence(u: _MonoidObjects) -> str | None:
     ]
     split_pairs = {
         (S.members, retraction)
-        for S in u.subs
-        for retraction, report in u.split_reports(S)
-        if report.condition_translation
+        for S, retraction in u.retractions
+        if u.split_report(S, retraction).condition_translation
     }
     if not (len(normal_group_facs) == len(normal_cocycles) == len(split_pairs)):
         return (

@@ -181,6 +181,10 @@ class TestUnits:
         M = from_table(S3.table)
         assert units(M) is units(M)
         assert units(M) == SubMonoid(M, M.members)
+        # a submonoid, too, builds its unit group once
+        for S in [*enumerate_submonoids(M), SubMonoid(B2, (0, 1))]:
+            assert units(S) is units(S)
+            assert set(units(S).members) == oracles.units_of(S)
 
 
 class TestClosure:
@@ -271,14 +275,21 @@ class TestInverseTable:
             assert [M.inverse(x) for x in M.elements()] == inverses
             assert M.is_group() == (None not in inverses)
             for c in [M, *enumerate_submonoids(M)]:
+                # the carrier protocol: a monoid is its own parent and its own as_monoid()
+                pos = c.positions
+                assert c.parent is M and pos == {x: i for i, x in enumerate(c.members)}
+                small = c.as_monoid()
+                assert small.identity == pos[c.parent.identity]
+                assert small.table == tuple(
+                    tuple(pos[M.table[x][y]] for y in c.members) for x in c.members
+                )
                 assert set(units(c).members) == oracles.units_of(c)
                 for x in M.elements():
                     ours = self.outcome(lambda: inverse_in(c, x))
                     assert ours == self.outcome(lambda: oracles.inverse_in_by_scan(c, x))
                     seen.add(type(ours))
-                if isinstance(c, SubMonoid):
-                    assert is_subgroup(M, c) == oracles.is_subgroup_by_scan(c)
-                    seen.add(is_subgroup(M, c))
+                assert is_subgroup(M, c) == oracles.is_subgroup_by_scan(c)
+                seen.add(is_subgroup(M, c))
         assert seen == {int, str, True, False}
 
     def test_inverse_table_matches_scan_to_order5(self):
@@ -542,20 +553,25 @@ class TestElementMap:
             ElementMap(S3, A3, (0, 1, 0, 0, 4, 5))
 
     def test_is_homomorphism_matches_pointwise_oracle(self):
-        # maps M -> A, and maps A -> M read through the submonoid's positions
+        # maps M -> A, maps A -> M read through the submonoid's positions, and maps A -> B
         verdicts = set()
         for n in range(1, 5):
             for M in enumerate_monoids(n, up_to_iso=True):
                 maps = [ElementMap(M, A, values) for A, values in oracles.small_maps(M, 256)]
-                for A in enumerate_submonoids(M):
+                subs = enumerate_submonoids(M)
+                for A in subs:
                     if n ** len(A) <= 256:
                         for values in itertools.product(M.members, repeat=len(A)):
                             maps.append(ElementMap(A, M, values))
+                    for B in subs:
+                        if len(B) ** len(A) <= 64:
+                            for values in itertools.product(B.members, repeat=len(A)):
+                                maps.append(ElementMap(A, B, values))
                 for f in maps:
                     ok = f.is_homomorphism()
                     assert ok == oracles.is_homomorphism_pointwise(f)
-                    verdicts.add((ok, type(f.domain)))
-        assert len(verdicts) == 4  # both verdicts on both kinds of domain
+                    verdicts.add((ok, type(f.domain), type(f.codomain)))
+        assert len(verdicts) == 6  # both verdicts on each pair of carrier kinds
 
     def test_compose(self):
         sign = ElementMap(S3, C2, (0, 1, 1, 1, 0, 0))

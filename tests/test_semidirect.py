@@ -18,6 +18,7 @@ from monofact.core import (
     _pair_table,
     direct_product,
     enumerate_homs,
+    enumerate_submonoids,
     endomorphism_monoid,
     find_isomorphism,
     identity_map,
@@ -29,6 +30,7 @@ from monofact.factorization import fac_over, try_factorization
 from monofact.semidirect import (
     ActionMismatch,
     AxiomViolation,
+    Cocycle1,
     NotASplitPair,
     NotUnitValued,
     NotUnitValuedHom,
@@ -569,6 +571,17 @@ class TestFacFromZ1:
         with pytest.raises(NotUnitValued):
             fac_from_z1(sd, non_unit)
 
+    def test_unit_flag_is_read_off_the_values(self):
+        # a cocycle built by hand from a map that leaves U(B2) cannot pass as unit-valued
+        act = trivial_action(B2, B2)
+        zero, non_unit = z1(act)
+        built = Cocycle1(act, non_unit.underlying)
+        assert built.unit_valued is False and built == non_unit
+        with pytest.raises(NotUnitValued):
+            fac_from_z1(semidirect(B2, act, B2), built)
+        with pytest.raises(ActionMismatch):
+            h1(act, unit_valued=True, cocycles=[zero, built])
+
 
 class TestNormality:
     def test_a3_normal_in_s3(self):
@@ -598,6 +611,19 @@ class TestNormality:
             normality_check(S3, half, [1])
         with pytest.raises(ParentMismatch):
             normality_check(S3, a3, half)
+        with pytest.raises(ParentMismatch):
+            normality_check(S3, a3, C4)
+
+    def test_monoid_as_the_elements_it_lists(self):
+        # M is a carrier of itself: its members are its elements
+        verdicts = set()
+        for M in CATALOG.values():
+            for N in enumerate_submonoids(M):
+                for side in ("left", "right", "both"):
+                    verdict = normality_check(M, N, M, side)
+                    assert verdict == normality_check(M, N, M.elements(), side)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     # a negative index would read the table from its end, a bool would pass as 0 or 1
     @pytest.mark.parametrize("X", [[-1], [6], [True]], ids=["negative", "too-large", "bool"])
