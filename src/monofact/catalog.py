@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import FiniteMonoid, MonoidError, _pair_table, direct_product, from_table
+from .core import FiniteMonoid, MonoidError, _pair_monoid, direct_product, from_table
 
 
 def _cyclic(n: int) -> FiniteMonoid:
@@ -53,9 +53,8 @@ def _symmetric3() -> FiniteMonoid:
 
 def _c3_by_c2_inversion() -> FiniteMonoid:
     # pairs (a, b), a mod 3 and b mod 2, with (a1,b1)(a2,b2) = (a1 + (-1)^b1 a2, b1 + b2)
-    table = _pair_table(_cyclic(3), _cyclic(2), ((0, 1, 2), (0, 2, 1)))
-    labels = tuple(f"({a},{b})" for a in ("e", "g", "g2") for b in ("e", "r"))
-    return FiniteMonoid(table, 0, labels)
+    c2 = FiniteMonoid(_cyclic(2).table, 0, ("e", "r"))
+    return _pair_monoid(_cyclic(3), c2, ((0, 1, 2), (0, 2, 1)), "({},{})")
 
 
 CATALOG: dict[str, FiniteMonoid] = {

@@ -512,30 +512,32 @@ def opposite(M: FiniteMonoid) -> FiniteMonoid:
     return FiniteMonoid(M.columns, M.identity, M.labels)
 
 
-def _pair_table(A: FiniteMonoid, B: FiniteMonoid, star: Sequence) -> tuple[tuple[int, ...], ...]:
-    """The table of (a1, b1)(a2, b2) = (a1 * b1.a2, b1 * b2) on pairs indexed ``a * |B| + b``.
+def _pair_monoid(A: FiniteMonoid, B: FiniteMonoid, star: Sequence, label: str) -> FiniteMonoid:
+    """The monoid of (a1, b1)(a2, b2) = (a1 * b1.a2, b1 * b2) on pairs indexed ``a * |B| + b``.
 
     ``star[b]`` is the row of b's action on A.  Row (a1, b1) is row a1 of A
-    read through ``star[b1]``, each entry spread over row b1 of B.
+    read through ``star[b1]``, each entry spread over row b1 of B.  The
+    identity is the pair of identities; when either factor is labelled, the
+    pair (a, b) is labelled ``label.format(label of a, label of b)``.
     """
     nb = B.size
     scaled = [tuple(v * nb for v in row) for row in A.table]
     reads = [_reader(row) for row in star]
-    return tuple(
+    table = tuple(
         tuple(a + b for a in read(row_a) for b in row_b)
         for row_a in scaled
         for read, row_b in zip(reads, B.table)
     )
+    labels = None
+    if A.labels is not None or B.labels is not None:
+        right = [B.label(b) for b in B.members]
+        labels = tuple(label.format(A.label(a), b) for a in A.members for b in right)
+    return FiniteMonoid(table, A.identity * nb + B.identity, labels)
 
 
 def direct_product(M: FiniteMonoid, N: FiniteMonoid) -> FiniteMonoid:
     """Componentwise product on pairs, indexed row-major (M-index major)."""
-    table = _pair_table(M, N, [M.members] * N.size)
-    labels = None
-    if M.labels is not None or N.labels is not None:
-        right = [N.label(b) for b in N.members]
-        labels = tuple(f"({M.label(a)},{b})" for a in M.members for b in right)
-    return FiniteMonoid(table, M.identity * N.size + N.identity, labels)
+    return _pair_monoid(M, N, [M.members] * N.size, "({},{})")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .core import (
     _Carrier,
     _hom_witness,
     _index,
-    _pair_table,
+    _pair_monoid,
     enumerate_homs,
     inverse_in,
     is_subgroup,
@@ -170,20 +170,12 @@ def semidirect(A: FiniteMonoid, act: MonoidAction, B: FiniteMonoid) -> Semidirec
     """
     if act.acted != A or act.actor != B:
         raise ActionMismatch("action does not relate the supplied monoids")
-    na, nb = A.size, B.size
-
-    def idx(a: int, b: int) -> int:
-        return a * nb + b
-
-    labels = None
-    if A.labels is not None or B.labels is not None:
-        right = [B.label(b) for b in B.members]
-        labels = tuple(f"{A.label(a)}·{b}" for a in A.members for b in right)
-    product = FiniteMonoid(_pair_table(A, B, act.star), idx(A.identity, B.identity), labels)
-    embed_a = ElementMap(A, product, tuple(idx(a, B.identity) for a in range(na)))
-    embed_b = ElementMap(B, product, tuple(idx(A.identity, b) for b in range(nb)))
-    proj_a = ElementMap(product, A, tuple(x // nb for x in range(na * nb)))
-    proj_b = ElementMap(product, B, tuple(x % nb for x in range(na * nb)))
+    nb = B.size
+    product = _pair_monoid(A, B, act.star, "{}·{}")
+    embed_a = ElementMap(A, product, tuple(a * nb + B.identity for a in A.members))
+    embed_b = ElementMap(B, product, tuple(A.identity * nb + b for b in B.members))
+    proj_a = ElementMap(product, A, tuple(x // nb for x in product.members))
+    proj_b = ElementMap(product, B, tuple(x % nb for x in product.members))
     return SemidirectProduct(product, embed_a, embed_b, proj_a, proj_b, act)
 
 
@@ -421,7 +413,7 @@ def factorization_normality_equivalences(fac: Factorization) -> NormalityReport:
     iso = None
     cond_semidirect = False
     A_mon, B_mon = A.as_monoid(), B.as_monoid()
-    a_pos, b_pos = A.positions, B.positions
+    a_pos = A.positions
     star = tuple(
         tuple(a_pos[fac.to_first(M.table[b][a])] for a in A.members) for b in B.members
     )
@@ -432,16 +424,13 @@ def factorization_normality_equivalences(fac: Factorization) -> NormalityReport:
     if candidate is not None:
         sd = semidirect(A_mon, candidate, B_mon)
         # the canonical comparison sends the pair (a, b) to a*b in M
-        values = [0] * sd.product.size
-        for a in A.members:
-            for b in B.members:
-                values[sd.pair_index(a_pos[a], b_pos[b])] = M.table[a][b]
-        forward = ElementMap(sd.product, M, tuple(values))
+        values = tuple(
+            M.table[A.members[i]][B.members[j]] for i, j in map(sd.parts, sd.product.members)
+        )
+        forward = ElementMap(sd.product, M, values)
         if forward.is_homomorphism():
-            inverse = [0] * M.size
-            for x, m in enumerate(values):
-                inverse[m] = x
-            iso = MonoidIso(forward, ElementMap(M, sd.product, tuple(inverse)))
+            inverse = tuple(sorted(sd.product.members, key=values.__getitem__))
+            iso = MonoidIso(forward, ElementMap(M, sd.product, inverse))
             action = candidate
             product = sd
             cond_semidirect = True

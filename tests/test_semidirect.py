@@ -11,11 +11,12 @@ from monofact.catalog import CATALOG
 from monofact import verify
 from monofact.core import (
     ElementMap,
+    FiniteMonoid,
     IndexOutOfRange,
     ParentMismatch,
     SizeBoundExceeded,
     SubMonoid,
-    _pair_table,
+    _pair_monoid,
     direct_product,
     enumerate_homs,
     enumerate_submonoids,
@@ -177,13 +178,13 @@ class TestAxiomWitnesses:
 
 
 class TestPairTable:
-    """The one pair-table builder against the pair product computed entry by entry."""
+    """The one pair-monoid builder against the pair product computed entry by entry."""
 
     def test_battery_products(self):
         for act in BATTERY3:
             A, B = act.acted, act.actor
             expected = oracles.pair_table_pointwise(A, B, act.star)
-            assert _pair_table(A, B, act.star) == expected
+            assert _pair_monoid(A, B, act.star, "{}·{}").table == expected
 
     def test_direct_products(self):
         for M, N in itertools.product(POPULATION3, repeat=2):
@@ -193,6 +194,26 @@ class TestPairTable:
     def test_catalog_semidirect(self):
         # semidirect(C3, INVERSION, C2) builds the same table (TestSemidirect)
         assert CATALOG["c3xc2"].table == oracles.pair_table_pointwise(C3, C2, INVERSION.star)
+
+    def test_direct_product_is_the_trivial_semidirect_product(self):
+        for M, N in itertools.product(POPULATION3, repeat=2):
+            product = semidirect(M, trivial_action(N, M), N).product
+            direct = direct_product(M, N)
+            assert (direct.table, direct.identity) == (product.table, product.identity)
+
+    def test_semidirect_labels_and_identity(self):
+        product = semidirect(C3, INVERSION, C2).product
+        assert product.labels == ("e·e", "e·g", "g·e", "g·g", "g2·e", "g2·g")
+        assert product.identity == 0
+        unlabelled = FiniteMonoid(B2.table, B2.identity)
+        product = semidirect(unlabelled, trivial_action(C2, unlabelled), C2).product
+        assert product.labels == ("0·e", "0·g", "1·e", "1·g")
+
+    def test_direct_product_labels(self):
+        assert direct_product(B2, C2).labels == ("(e,e)", "(e,g)", "(z,e)", "(z,g)")
+        assert CATALOG["c3xc2"].labels == (
+            "(e,e)", "(e,r)", "(g,e)", "(g,r)", "(g2,e)", "(g2,r)"
+        )
 
 
 class TestOppositeAction:
@@ -661,6 +682,37 @@ class TestNormalityEquivalences:
         report = factorization_normality_equivalences(fac)
         assert not report.left_normal and not fac.to_second.is_homomorphism()
         assert report.action is None and report.iso is None
+
+
+def _symmetric4():
+    # the product p*q acts by q first, as in the catalog's S3: (p*q)(i) = p(q(i))
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(4))] for q in perms] for p in perms]
+    return FiniteMonoid(table, 0), perms
+
+
+class TestZappaSzepFactorization:
+    """S4 = S3 * C4 is exact but not semidirect: the recovered table is no action."""
+
+    def test_recovered_table_fails_a4(self):
+        S4, perms = _symmetric4()
+        stabiliser = SubMonoid(S4, tuple(i for i, p in enumerate(perms) if p[3] == 3))
+        powers = sorted(perms.index(tuple((i + k) % 4 for i in range(4))) for k in range(4))
+        rotation = SubMonoid(S4, tuple(powers))
+        fac = try_factorization(S4, stabiliser, rotation)
+        A, B = fac.first, fac.second
+        star = [
+            [A.positions[fac.to_first(S4.table[b][a])] for a in A.members] for b in B.members
+        ]
+        with pytest.raises(AxiomViolation) as exc:
+            validate_action(B.as_monoid(), A.as_monoid(), star)
+        assert exc.value.axiom == "A4"
+        report = factorization_normality_equivalences(fac)
+        assert report.left_normal is False
+        assert (report.action, report.product, report.iso) == (None, None, None)
+        assert fac.to_second.is_homomorphism() is False
+        assert normality_check(S4, A, B, "left") is False
 
 
 class TestSplitEpi:

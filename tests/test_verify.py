@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -591,6 +592,107 @@ class TestPlantedFaults:
             }
         )
 
+    def test_projection_numbering_the_actor_backwards(self, monkeypatch):
+        real = verify.semidirect
+
+        def mirrored(A, act, B):
+            sd = real(A, act, B)
+            values = tuple(B.size - 1 - v for v in sd.proj_b.values)
+            return dataclasses.replace(sd, proj_b=ElementMap(sd.product, B, values))
+
+        monkeypatch.setattr(verify, "semidirect", mirrored)
+        self.assert_order2_lines(
+            {
+                "semidirect-construction": "semidirect-construction: FAIL (2 instances) -- "
+                "order2#0 acting on order1#0 #0: projection onto the actor is not a homomorphism"
+            }
+        )
+
+    def test_actor_embedded_along_the_last_unit_cocycle(self, monkeypatch):
+        # the twisted graph is still a partner of the first image, so the canonical
+        # factorization holds and only the zero cocycle's graph gives the fault away
+        real = verify.semidirect
+
+        def twisted(A, act, B):
+            sd = real(A, act, B)
+            chi = z1(act, unit_valued=True)[-1]
+            values = tuple(sd.pair_index(v, b) for b, v in enumerate(chi.values))
+            return dataclasses.replace(sd, embed_b=ElementMap(B, sd.product, values))
+
+        monkeypatch.setattr(verify, "semidirect", twisted)
+        self.assert_order2_lines(
+            {
+                "unit-z1-second-factors": "unit-z1-second-factors: FAIL (5 instances) -- "
+                "order2#0 acting on order2#0 #0: zero cocycle does not map to the canonical factor"
+            }
+        )
+
+    def test_section_search_dropping_its_last_solution(self, monkeypatch):
+        real = verify.sections
+
+        def short(sd):
+            report = real(sd)
+            return dataclasses.replace(report, sections=report.sections[:-1])
+
+        monkeypatch.setattr(verify, "sections", short)
+        self.assert_order2_lines(
+            {
+                "sections-bijection": "sections-bijection: FAIL (1 instances) -- "
+                "order1#0 acting on order1#0 #0: 0 sections vs 1 cocycles"
+            }
+        )
+
+    def test_every_section_read_back_as_the_zero_cocycle(self, monkeypatch):
+        real = verify.sections
+
+        def zero_back(sd):
+            report = real(sd)
+            return dataclasses.replace(report, cocycle_of_section=(0,) * len(report.sections))
+
+        monkeypatch.setattr(verify, "sections", zero_back)
+        self.assert_order2_lines(
+            {
+                "sections-bijection": "sections-bijection: FAIL (5 instances) -- "
+                "order2#0 acting on order2#0 #0: correspondences are not mutually inverse"
+            }
+        )
+
+    def test_conjugate_sections_never_merged(self, monkeypatch):
+        real = verify.sections
+
+        def discrete(sd):
+            report = real(sd)
+            c = report.classes
+            classes = dataclasses.replace(
+                c, class_of=tuple(range(len(c.objects))), representatives=c.objects, witnesses=()
+            )
+            return dataclasses.replace(report, classes=classes)
+
+        monkeypatch.setattr(verify, "sections", discrete)
+        self.assert_order2_lines(
+            {
+                "sections-bijection": "sections-bijection: FAIL (6 instances) -- "
+                "order2#1 acting on order2#0 #0: cocycle classes do not match section classes"
+            }
+        )
+
+    def test_descent_law_judged_on_the_other_side(self, monkeypatch):
+        # the other checks that judge descent cocycles run on commutative monoids at
+        # order 2, where both sides read the same law; the semidirect products need not be
+        real = verify.is_descent_cocycle
+
+        def flipped(M, A, q, side="left"):
+            return real(M, A, q, "right" if side == "left" else "left")
+
+        monkeypatch.setattr(verify, "is_descent_cocycle", flipped)
+        self.assert_order2_lines(
+            {
+                "unit-z1-second-factors": "unit-z1-second-factors: FAIL (6 instances) -- "
+                "order2#1 acting on order2#0 #0: induced map is not a descent cocycle "
+                "(('R2', (1, 2)))"
+            }
+        )
+
 
 class TestSharedGroupoids:
     """Each group action is checked by ``groupoid_components``, built once per unit and factor."""
@@ -854,12 +956,15 @@ class TestBuildCounts:
 
         monkeypatch.setattr(core.SubMonoid, "__post_init__", counting_post_init)
         monkeypatch.setattr(SemidirectProduct, "second_image", counting_second_image)
+        # count from cold caches, whichever tests have read the catalog's unit groups
+        for M in CATALOG.values():
+            monkeypatch.delitem(M.__dict__, "_units", raising=False)
         pairs = tuple(verify._battery_pairs(verify._population(3, True)))
         for kind in ("action", "inner"):
             tally = verify._run_shard((kind, pairs))
             assert all(stop is None for _, stop in tally.values())
         # one unit group per monoid, one second factor per action's two readers
-        assert builds["units"] <= 1977
+        assert builds["units"] == 999
         assert builds["second_image"] <= 1956
 
 
