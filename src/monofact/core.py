@@ -68,37 +68,53 @@ def _associativity_witness(rows: Sequence, table: Sequence) -> tuple[int, int, i
     """The least (x, y, z) with rows[x*y][z] != rows[x][rows[y][z]], x*y = table[x][y], or None.
 
     The law for every z says that row x*y is row x read through row y, so
-    each pair (x, y) costs one comparison of rows, which are tuples.  A
-    monoid passes its table twice, an action its rows and the actor's
-    table (axiom A2).
+    each pair (x, y) costs one comparison of rows.  An entry indexes a row,
+    so rows of at most 256 entries are compared as bytes, where row x read
+    through row y is row y translated by row x; longer rows are compared as
+    tuples.  A monoid passes its table twice, an action its rows and the
+    actor's table (axiom A2).
     """
-    reads = [_reader(row) for row in rows]
-    for x, (row_x, prod_x) in enumerate(zip(rows, table)):
+    if len(rows[0]) <= 256:
+        lines = [bytes(row) for row in rows]
+        pad = bytes(256 - len(rows[0]))
+        outer, inner, read = lines, [line + pad for line in lines], bytes.translate
+    else:
+        lines, outer, inner = rows, [_reader(row) for row in rows], rows
+        read = lambda reader, row: reader(row)
+    for x, (inner_x, prod_x) in enumerate(zip(inner, table)):
         for y, xy in enumerate(prod_x):
-            row_xy = rows[xy]
-            if row_xy != reads[y](row_x):
-                row_y = rows[y]
+            if lines[xy] != read(outer[y], inner_x):
+                row_xy, row_x, row_y = rows[xy], rows[x], rows[y]
                 z = next(z for z, v in enumerate(row_xy) if v != row_x[row_y[z]])
                 return (x, y, z)
     return None
 
 
-def _hom_witness(f: Sequence[int], prod: Sequence, cod: Sequence) -> tuple[int, int] | None:
+def _hom_witness(
+    f: Sequence[int], prod: Sequence, cod: Sequence, reads: Sequence | None = None
+) -> tuple[int, int] | None:
     """The least (x, y) with f[prod[x][y]] != cod[f[x]][f[y]], or None.
 
     The law for every y says that f read through row x of ``prod`` is row
     f[x] of ``cod`` read through f, so each x costs one comparison of rows.
+    ``reads`` holds the readers of prod's rows when the caller tests many f.
     """
     read_f = _reader(f)
-    for x, row in enumerate(prod):
+    if reads is None:
+        reads = map(_reader, prod)
+    for x, (row, read_row) in enumerate(zip(prod, reads)):
         out = cod[f[x]]
-        if _reader(row)(f) != read_f(out):
+        if read_row(f) != read_f(out):
             return (x, next(y for y, v in enumerate(row) if f[v] != out[f[y]]))
     return None
 
 
 class _Carrier:
-    """A monoid or submonoid: sorted ``members`` of a ``parent``, and what they derive."""
+    """A monoid or submonoid: sorted ``members`` of a ``parent``, and what they derive.
+
+    What they derive is built on first use, except a submonoid's
+    ``member_set``: its closure test builds that set, and construction keeps it.
+    """
 
     @cached_property
     def member_set(self) -> frozenset[int]:
@@ -253,20 +269,30 @@ class SubMonoid(_Carrier):
     def __post_init__(self):
         members = tuple(self.members)
         object.__setattr__(self, "members", members)
-        n = self.parent.size
-        if any(type(x) is not int or not 0 <= x < n for x in members):
-            raise IndexOutOfRange(f"members {members} not within 0..{n - 1}")
-        if any(a >= b for a, b in zip(members, members[1:])):
-            raise MonoidError("members must be strictly sorted")
-        if self.parent.identity not in members:
+        parent = self.parent
+        n = parent.size
+        for x in members:
+            if type(x) is not int or not 0 <= x < n:
+                raise IndexOutOfRange(f"members {members} not within 0..{n - 1}")
+        last = -1
+        for x in members:
+            if x <= last:
+                raise MonoidError("members must be strictly sorted")
+            last = x
+        if parent.identity not in members:
             raise MonoidError("a submonoid must contain the identity")
-        table = self.parent.table
-        inside = self.member_set
+        table = parent.table
+        inside = frozenset(members)
         for x in members:
             row = table[x]
             for y in members:
                 if row[y] not in inside:
                     raise MonoidError(f"not closed: {x}*{y} = {row[y]} escapes the subset")
+        object.__setattr__(self, "member_set", inside)
+
+    def __hash__(self) -> int:
+        # consistent with equality on (parent, members), without hashing the parent's table
+        return hash(self.members)
 
     def __contains__(self, x: int) -> bool:
         return x in self.member_set
@@ -524,7 +550,7 @@ def _pair_monoid(A: FiniteMonoid, B: FiniteMonoid, star: Sequence, label: str) -
     scaled = [tuple(v * nb for v in row) for row in A.table]
     reads = [_reader(row) for row in star]
     table = tuple(
-        tuple(a + b for a in read(row_a) for b in row_b)
+        tuple([a + b for a in read(row_a) for b in row_b])
         for row_a in scaled
         for read, row_b in zip(reads, B.table)
     )

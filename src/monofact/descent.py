@@ -18,6 +18,7 @@ from .core import (
     ParentMismatch,
     SizeBoundExceeded,
     SubMonoid,
+    _reader,
     inverse_in,
     is_subgroup,
     units,
@@ -102,8 +103,10 @@ def is_descent_cocycle(
 
     Line k is row k of M on the left and column k on the right, so on both
     sides the laws read q(line[m]) = line[q(m)] for k in A and q(line[m]) =
-    q(line[q(m)]) for k in M.  The witness is the failing pair that comes
-    first with its factors in product order.
+    q(line[q(m)]) for k in M.  Both sides of both laws are q read through
+    the line, read through q, so each line costs one comparison of tuples.
+    The witness is the failing pair that comes first with its factors in
+    product order.
     """
     if A.parent != M:
         raise ParentMismatch("coefficient submonoid belongs to a different monoid")
@@ -112,19 +115,20 @@ def is_descent_cocycle(
         raise ValueError("side must be 'left' or 'right'")
     left = side == "left"
     label, lines = ("L", M.table) if left else ("R", M.columns)
-    elements = M.elements()
-    f = [q(m) for m in elements]
+    f = q.values  # q maps M, so its values are indexed by M's elements
     for a in A.members:
         if f[a] != a:
             return False, (label + "1", (a,))
-    for law, ks, outer in ((2, A.members, elements), (3, elements, f)):
+    read_f = _reader(f)
+    for law, ks in ((2, A.members), (3, M.elements())):
         failures = []
         for k in ks:
             line = lines[k]
-            for m in elements:
-                if f[line[m]] != outer[line[f[m]]]:
-                    failures.append((k, m) if left else (m, k))
-                    break
+            lhs = _reader(line)(f)  # q(line[m]) at every m
+            rhs = read_f(line if law == 2 else lhs)  # line[q(m)], or q(line[q(m)])
+            if lhs != rhs:
+                m = next(m for m, v in enumerate(lhs) if v != rhs[m])
+                failures.append((k, m) if left else (m, k))
         if failures:
             return False, (f"{label}{law}", min(failures))
     return True, None

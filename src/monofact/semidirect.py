@@ -10,6 +10,7 @@ unit-valued homomorphisms, and the conical uniqueness bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .core import (
@@ -25,6 +26,7 @@ from .core import (
     _hom_witness,
     _index,
     _pair_monoid,
+    _reader,
     enumerate_homs,
     inverse_in,
     is_subgroup,
@@ -77,23 +79,26 @@ class MonoidAction:
         star = tuple(tuple(row) for row in self.star)
         object.__setattr__(self, "star", star)
         B, A = self.actor, self.acted
-        if len(star) != B.size or any(len(row) != A.size for row in star):
+        na = A.size
+        if len(star) != B.size or any(len(row) != na for row in star):
             raise ActionMismatch("action table has the wrong shape")
         for row in star:
             for v in row:
-                if type(v) is not int or not 0 <= v < A.size:
+                if type(v) is not int or not 0 <= v < na:
                     raise ActionMismatch(f"action value {v!r} outside the acted monoid")
-        for a in A.elements():
-            if star[B.identity][a] != a:
+        for a, v in enumerate(star[B.identity]):
+            if v != a:
                 raise AxiomViolation("A1", (a,))
         witness = _associativity_witness(star, B.table)
         if witness is not None:
             raise AxiomViolation("A2", witness)
-        for b in B.elements():
-            if star[b][A.identity] != A.identity:
-                raise AxiomViolation("A3", (b,))
+        e = A.identity
         for b, row in enumerate(star):
-            witness = _hom_witness(row, A.table, A.table)
+            if row[e] != e:
+                raise AxiomViolation("A3", (b,))
+        reads = [_reader(row) for row in A.table]  # each b's row is tested against them
+        for b, row in enumerate(star):
+            witness = _hom_witness(row, A.table, A.table, reads)
             if witness is not None:
                 raise AxiomViolation("A4", (b, *witness))
 
@@ -148,11 +153,19 @@ class SemidirectProduct:
     def parts(self, x: int) -> tuple[int, int]:
         return divmod(x, self.action.actor.size)
 
-    # each embedding's values are its image, in ascending pair order
     def first_image(self) -> SubMonoid:
-        return SubMonoid(self.product, self.embed_a.values)
+        return self._first_image
 
     def second_image(self) -> SubMonoid:
+        return self._second_image
+
+    # each embedding's values are its image, in ascending pair order
+    @cached_property
+    def _first_image(self) -> SubMonoid:
+        return SubMonoid(self.product, self.embed_a.values)
+
+    @cached_property
+    def _second_image(self) -> SubMonoid:
         return SubMonoid(self.product, self.embed_b.values)
 
     def canonical_factorization(self) -> Factorization:
@@ -299,8 +312,8 @@ def sections(sd: SemidirectProduct) -> SectionsReport:
     A, B = act.acted, act.actor
     product = sd.product
     nb = B.size
-    pos_of_pair = sd.pair_index
-    fibers = [[pos_of_pair(a, b) for a in A.elements()] for b in range(nb)]
+    # the pair (a, b) is a * nb + b (``sd.pair_index``)
+    fibers = [[a * nb + b for a in A.elements()] for b in range(nb)]
     ptab = product.table
     pinned = [(B.identity, product.identity)]
     candidates = [sorted(f) for f in fibers]
@@ -314,7 +327,7 @@ def sections(sd: SemidirectProduct) -> SectionsReport:
     section_index = {s.values: i for i, s in enumerate(secs)}
     try:
         section_of_cocycle = tuple(
-            section_index[tuple(pos_of_pair(v, b) for b, v in enumerate(c.values))]
+            section_index[tuple(v * nb + b for b, v in enumerate(c.values))]
             for c in cocycles
         )
         proj_a = sd.proj_a.values
@@ -347,16 +360,16 @@ def fac_from_z1(sd: SemidirectProduct, chi: Cocycle1) -> SubMonoid:
         raise ActionMismatch("cocycle belongs to a different action")
     if not chi.unit_valued:
         raise NotUnitValued("the cocycle must take values in the unit group")
-    A = sd.action.acted
-    # chi is unit-valued, so every value has an inverse
-    values, atab, inverse = chi.values, A.table, A.inverses
-    graph = tuple(sorted(sd.pair_index(v, b) for b, v in enumerate(values)))
-    kernel = []
-    for x in sd.product.elements():
-        a, b = sd.parts(x)
-        if atab[a][inverse[values[b]]] == A.identity:
-            kernel.append(x)
-    if graph != tuple(kernel):
+    A, nb = sd.action.acted, sd.action.actor.size
+    # chi is unit-valued, so every value has an inverse; the pair (a, b) is a * nb + b
+    e, atab, inverse = A.identity, A.table, A.inverses
+    values = chi.values
+    graph = tuple(sorted(v * nb + b for b, v in enumerate(values)))
+    inverted = [inverse[v] for v in values]
+    kernel = tuple(
+        a * nb + b for a, row in enumerate(atab) for b, w in enumerate(inverted) if row[w] == e
+    )
+    if graph != kernel:
         raise InternalInconsistency("graph and induced-kernel routes disagree")
     return SubMonoid(sd.product, graph)
 
@@ -545,13 +558,10 @@ def inner_action_and_convolution(
     unit_set = units(A).member_set
     if any(v not in unit_set for v in kappa.values):
         raise NotUnitValuedHom("the defining homomorphism must take unit values")
-    atab = A.table
-    star = tuple(
-        tuple(
-            atab[atab[kappa(b)][a]][inverse_in(A, kappa(b))] for a in A.elements()
-        )
-        for b in B.elements()
-    )
+    # b acts by a -> kappa(b) * a * kappa(b)^{-1}; kappa maps B, so its values
+    # are indexed by B's elements, and each is a unit
+    atab, inverse, kappa_values = A.table, A.inverses, kappa.values
+    star = tuple(tuple(atab[v][inverse[k]] for v in atab[k]) for k in kappa_values)
     act = MonoidAction(B, A, star)
 
     cocycles = tuple(z1(act, unit_valued=False))
@@ -559,7 +569,7 @@ def inner_action_and_convolution(
     hom_index = {h.values: i for i, h in enumerate(homs)}
     convolution_of = []
     for c in cocycles:
-        values = tuple(atab[c(b)][kappa(b)] for b in B.elements())
+        values = tuple(atab[v][k] for v, k in zip(c.values, kappa_values))
         idx = hom_index.get(values)
         if idx is None:
             raise InternalInconsistency("convolution left the homomorphism set")
@@ -567,7 +577,6 @@ def inner_action_and_convolution(
     bijection_ok = len(cocycles) == len(homs) and len(set(convolution_of)) == len(homs)
     # h1 raises ActionMismatch unless the zero cocycle is among the cocycles
     cocycle_classes = h1(act, cocycles=cocycles)
-    inverse = A.inverses
     keys = [h.values for h in homs]
 
     def conjugate(a0: int, i: int) -> Values:

@@ -290,10 +290,6 @@ class _ActionObjects:
         return semidirect(self.act.acted, self.act, self.act.actor)  # validates the table
 
     @cached_property
-    def first_image(self) -> SubMonoid:
-        return self.sd.first_image()
-
-    @cached_property
     def sections_report(self) -> SectionsReport:
         return sections(self.sd)
 
@@ -303,7 +299,7 @@ class _ActionObjects:
 
     @cached_property
     def partners(self) -> list[SubMonoid]:
-        return fac_over(self.sd.product, self.first_image)
+        return fac_over(self.sd.product, self.sd.first_image())
 
     @cached_property
     def graphs(self) -> list[tuple[int, ...]]:
@@ -688,14 +684,13 @@ def _unit_z1_second_factors(ob: _ActionObjects) -> str | None:
     second = sd.second_image()
     if zero_image != second.members:
         return "zero cocycle does not map to the canonical factor"
-    # the induced map on the product is a unit-valued left descent cocycle
-    A_img = ob.first_image
-    atab, inverse = act.acted.table, act.acted.inverses
-    chi0 = unit_cocycles[0].values
-    values = tuple(
-        sd.pair_index(atab[a][inverse[chi0[b]]], act.actor.identity)
-        for a, b in map(sd.parts, sd.product.elements())
-    )
+    # the induced map on the product is a unit-valued left descent cocycle;
+    # it sends the pair (a, b), numbered a * |B| + b, to (a * chi0(b)^{-1}, e)
+    A_img = sd.first_image()
+    nb, e = act.actor.size, act.actor.identity
+    inverse = act.acted.inverses
+    inverted = [inverse[v] for v in unit_cocycles[0].values]
+    values = tuple(row[w] * nb + e for row in act.acted.table for w in inverted)
     induced = ElementMap(sd.product, A_img, values)
     ok, violation = is_descent_cocycle(sd.product, A_img, induced, "left")
     if not ok:
@@ -709,7 +704,8 @@ def _unit_z1_second_factors(ob: _ActionObjects) -> str | None:
 @_single
 def _h1_component_count(ob: _ActionObjects) -> str | None:
     classes = h1(ob.act, unit_valued=True, cocycles=ob.unit_cocycles)
-    groupoid = groupoid_components(ob.partners, units(ob.first_image), conjugate_second_factor)
+    acting = units(ob.sd.first_image())
+    groupoid = groupoid_components(ob.partners, acting, conjugate_second_factor)
     return _onto_partners(classes, ob.graphs, groupoid, "graph")
 
 

@@ -135,6 +135,15 @@ class TestAssociativityWitness:
                 from_table(table)
             assert exc.value.witness == witness
 
+    def test_rows_longer_than_a_byte(self):
+        # rows of more than 256 entries are compared as tuples, not bytes
+        n = 257
+        table = [tuple((x + y) % n for y in range(n)) for x in range(n)]
+        assert _associativity_witness(table, table) is None
+        table[1] = (1, 3) + table[1][2:]
+        assert oracles.associativity_witness_by_scan(table) == (1, 1, 2)
+        assert _associativity_witness(table, table) == (1, 1, 2)
+
 
 class TestSubMonoid:
     def test_requires_identity(self):

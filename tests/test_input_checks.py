@@ -106,6 +106,20 @@ CASES = [
     ("inner-not-hom",
      lambda: inner_action_and_convolution(C2, S3, ElementMap(C2, S3, (0, 4))),
      NotUnitValuedHom, "the defining map must be a homomorphism"),
+    # SubMonoid's four checks, in their order: range, strict order, identity, closure
+    ("submonoid-range-before-order", lambda: SubMonoid(C3, (2, 1, 3)), IndexOutOfRange,
+     "members (2, 1, 3) not within 0..2"),
+    ("submonoid-bool-member", lambda: SubMonoid(C3, (0, True)), IndexOutOfRange,
+     "members (0, True) not within 0..2"),
+    ("submonoid-unsorted", lambda: SubMonoid(C3, (0, 2, 1)), MonoidError,
+     "members must be strictly sorted"),
+    ("submonoid-repeated", lambda: SubMonoid(C3, (0, 0)), MonoidError,
+     "members must be strictly sorted"),
+    ("submonoid-no-identity", lambda: SubMonoid(S3, (1, 2, 3)), MonoidError,
+     "a submonoid must contain the identity"),
+    # (12)(13) = (132) is met before (13)(12) = (123): products are scanned in member order
+    ("submonoid-not-closed", lambda: SubMonoid(S3, (0, 1, 2)), MonoidError,
+     "not closed: 1*2 = 5 escapes the subset"),
 ]
 
 
@@ -116,3 +130,8 @@ def test_input_check_raises(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
         call()
     assert type(exc.value) is error
+
+
+@pytest.mark.parametrize("members", [(0,), (0, 1), (0, 4, 5), tuple(range(6))])
+def test_submonoid_member_set(members):
+    assert SubMonoid(S3, members).member_set == frozenset(members)

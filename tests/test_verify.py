@@ -693,6 +693,33 @@ class TestPlantedFaults:
             }
         )
 
+    def test_cocycles_of_the_other_side(self, monkeypatch):
+        # rows read for columns: each monoid's left cocycles are its right ones, labelled
+        # left, which differ first on S3; commutative monoids cannot show the fault
+        real = verify.enumerate_descent_cocycles
+
+        def other_side(M, A, side="left"):
+            flipped = "right" if side == "left" else "left"
+            return [DescentCocycle(q.underlying, side) for q in real(M, A, flipped)]
+
+        monkeypatch.setattr(verify, "enumerate_descent_cocycles", other_side)
+        s3 = f"s3 table={[list(row) for row in CATALOG['s3'].table]}"
+        fac = "Factorization((0, 4, 5), (0, 1))"
+        changed = {
+            "unit-star-action": f"unit-star-action: FAIL (30 instances) -- {s3}; "
+            "cocycle (0, 0, 5, 4, 4, 5) violates ('L2', (4, 1))",
+            "cocycle-kernel-submonoid": "cocycle-kernel-submonoid: PASS (75 instances)",
+            "subgroup-first-factor": f"subgroup-first-factor: FAIL (24 instances) -- {s3}; "
+            "not a left descent cocycle: ('L2', (4, 1))",
+            "subgroup-cocycle-bijection": "subgroup-cocycle-bijection: FAIL (24 instances) -- "
+            f"{s3}; component map of ((0, 4, 5),(0, 1)) not a cocycle",
+            "three-way-correspondence": "three-way-correspondence: FAIL (10 instances) -- "
+            f"{s3}; {fac} has no cocycle corner",
+        }
+        results = verify._run_checks(verify._population(3, True))
+        assert_golden_except(types.SimpleNamespace(checks=results), "3 catalog=True", set(changed))
+        assert {r.check: r.line() for r in results if r.check in changed} == changed
+
 
 class TestSharedGroupoids:
     """Each group action is checked by ``groupoid_components``, built once per unit and factor."""
@@ -895,7 +922,7 @@ class TestPartnerClassMaps:
         for desc, act in actions:
             ob = verify._ActionObjects(desc, act)
             classes = h1(act, unit_valued=True, cocycles=ob.unit_cocycles)
-            acting = units(ob.first_image)
+            acting = units(ob.sd.first_image())
             groupoid = groupoid_components(ob.partners, acting, conjugate_second_factor)
             assert self.judged_alike(classes, ob.graphs, groupoid)
 
@@ -926,7 +953,8 @@ class TestPartnerClassMaps:
             instances += 1
             ob = verify._ActionObjects(desc, act)
             classes = h1(act, unit_valued=True, cocycles=ob.unit_cocycles)
-            singletons = groupoid_components(ob.partners, units(ob.first_image), lambda a0, B: B)
+            acting = units(ob.sd.first_image())
+            singletons = groupoid_components(ob.partners, acting, lambda a0, B: B)
             if not self.oracle(classes, ob.graphs, singletons):
                 break
         tally = verify._run_shard(("action", pairs))
@@ -940,32 +968,35 @@ class TestBuildCounts:
     """Unit groups and semidirect images are built no more often than needed."""
 
     def test_order3_battery_and_inner_homs(self, monkeypatch):
-        builds = {"units": 0, "second_image": 0}
-        post_init, second_image = core.SubMonoid.__post_init__, SemidirectProduct.second_image
+        # each SubMonoid build is booked to the builder whose call it happens in
+        builders = {
+            core.units.__code__: "units",
+            SemidirectProduct.first_image.__code__: "first_image",
+            SemidirectProduct.second_image.__code__: "second_image",
+        }
+        builds = dict.fromkeys(builders.values(), 0)
+        post_init = core.SubMonoid.__post_init__
 
         def counting_post_init(sub):
             frame = sys._getframe(1)
-            while frame is not None and frame.f_code is not core.units.__code__:
+            while frame is not None and frame.f_code not in builders:
                 frame = frame.f_back
-            builds["units"] += frame is not None
+            if frame is not None:
+                builds[builders[frame.f_code]] += 1
             post_init(sub)
 
-        def counting_second_image(sd):
-            builds["second_image"] += 1
-            return second_image(sd)
-
         monkeypatch.setattr(core.SubMonoid, "__post_init__", counting_post_init)
-        monkeypatch.setattr(SemidirectProduct, "second_image", counting_second_image)
         # count from cold caches, whichever tests have read the catalog's unit groups
         for M in CATALOG.values():
             monkeypatch.delitem(M.__dict__, "_units", raising=False)
         pairs = tuple(verify._battery_pairs(verify._population(3, True)))
+        actions = sum(1 for _ in verify._actions(pairs))
         for kind in ("action", "inner"):
             tally = verify._run_shard((kind, pairs))
             assert all(stop is None for _, stop in tally.values())
-        # one unit group per monoid, one second factor per action's two readers
-        assert builds["units"] == 999
-        assert builds["second_image"] <= 1956
+        # one unit group per monoid, one image of each factor per action's product
+        assert actions == 978
+        assert builds == {"units": 999, "first_image": actions, "second_image": actions}
 
 
 class TestUnitCocycles:
