@@ -28,12 +28,17 @@ from .core import (
     _pair_monoid,
     _reader,
     enumerate_homs,
-    inverse_in,
     is_subgroup,
     opposite,
     units,
 )
-from .descent import CohomologyClasses, _carries, _orbit_classes
+from .descent import (
+    CohomologyClasses,
+    DescentCocycle,
+    _carries,
+    _orbit_classes,
+    fac_from_subgroup_cocycle,
+)
 from .factorization import Factorization, _require_map, fac_over, try_factorization
 from .search import product_rule, search_assignments
 
@@ -349,6 +354,17 @@ def sections(sd: SemidirectProduct) -> SectionsReport:
     return SectionsReport(secs, classes, cocycles, section_of_cocycle, cocycle_of_section)
 
 
+def _induced_cocycle(sd: SemidirectProduct, chi: Cocycle1) -> tuple[int, ...]:
+    """Values of the left descent cocycle into the first image induced by a unit-valued chi.
+
+    It sends the pair (a, b), numbered a * |B| + b, to (a * chi(b)^{-1}, e).
+    """
+    A, B = sd.action.acted, sd.action.actor
+    nb, e, inverse = B.size, B.identity, A.inverses
+    inverted = [inverse[v] for v in chi.values]
+    return tuple(row[w] * nb + e for row in A.table for w in inverted)
+
+
 def fac_from_z1(sd: SemidirectProduct, chi: Cocycle1) -> SubMonoid:
     """The second factor carved out of the product by a unit-valued cocycle.
 
@@ -360,15 +376,10 @@ def fac_from_z1(sd: SemidirectProduct, chi: Cocycle1) -> SubMonoid:
         raise ActionMismatch("cocycle belongs to a different action")
     if not chi.unit_valued:
         raise NotUnitValued("the cocycle must take values in the unit group")
-    A, nb = sd.action.acted, sd.action.actor.size
-    # chi is unit-valued, so every value has an inverse; the pair (a, b) is a * nb + b
-    e, atab, inverse = A.identity, A.table, A.inverses
-    values = chi.values
-    graph = tuple(sorted(v * nb + b for b, v in enumerate(values)))
-    inverted = [inverse[v] for v in values]
-    kernel = tuple(
-        a * nb + b for a, row in enumerate(atab) for b, w in enumerate(inverted) if row[w] == e
-    )
+    nb, identity = sd.action.actor.size, sd.product.identity
+    # the pair (a, b) is a * nb + b
+    graph = tuple(sorted(v * nb + b for b, v in enumerate(chi.values)))
+    kernel = tuple(x for x, v in enumerate(_induced_cocycle(sd, chi)) if v == identity)
     if graph != kernel:
         raise InternalInconsistency("graph and induced-kernel routes disagree")
     return SubMonoid(sd.product, graph)
@@ -468,24 +479,29 @@ class SplitEpiReport:
 
 
 def split_epi_analysis(
-    M: FiniteMonoid, B: FiniteMonoid, p: ElementMap, s: ElementMap
+    M: FiniteMonoid, B: _Carrier, p: ElementMap, s: ElementMap
 ) -> SplitEpiReport:
     """Analyze a split homomorphism pair ``p: M -> B``, ``s: B -> M``.
 
-    Judges the equivalence between "the kernel is a group and pairs with
-    the section image as a factorization" and "equal images differ by a
-    unique kernel translate"; under either, the kernel must be left-normal
-    against the section image and the factorization/cocycle/split-epi
-    round trip must close.  Each of these laws raises
+    B is a monoid, or a submonoid of M (then p may be a retraction onto it
+    and s its inclusion); a submonoid of another monoid raises
+    ParentMismatch.  Judges the equivalence between "the kernel is a group
+    and pairs with the section image as a factorization" and "equal images
+    differ by a unique kernel translate"; under either, the kernel must be
+    left-normal against the section image and the factorization/cocycle/
+    split-epi round trip must close.  Each of these laws raises
     InternalInconsistency when it fails.
     """
+    if B.parent not in (B, M):
+        raise ParentMismatch("the split submonoid belongs to a different monoid")
     _require_map(p, M, B)
     _require_map(s, B, M)
     if not (p.is_homomorphism() and s.is_homomorphism()):
         raise NotASplitPair("both maps must be monoid homomorphisms")
-    if any(p(s(b)) != b for b in B.elements()):
+    if any(p(s(b)) != b for b in B.members):
         raise NotASplitPair("p is not a retraction of s")
-    kernel = SubMonoid(M, tuple(m for m in M.elements() if p(m) == B.identity))
+    e = B.parent.identity
+    kernel = SubMonoid(M, tuple(m for m in M.elements() if p(m) == e))
     image = SubMonoid(M, tuple(sorted(set(s.values))))
     kernel_group = is_subgroup(M, kernel)
     fac = try_factorization(M, kernel, image) if kernel_group else None
@@ -513,10 +529,8 @@ def split_epi_analysis(
         if not normality_check(M, kernel, image, "left"):
             raise InternalInconsistency("split kernel is not left-normal against the image")
         # cocycle -> retraction onto the image -> same factorization
-        q = fac.to_first
-        q_dagger = ElementMap(
-            M, image, tuple(table[inverse_in(kernel, q(m))][m] for m in M.elements())
-        )
+        q = DescentCocycle(fac.to_first, "left")
+        q_dagger = fac_from_subgroup_cocycle(M, kernel, q).to_second
         if not (
             q_dagger.values == fac.to_second.values
             and all(q_dagger(x) == x for x in image.members)

@@ -34,7 +34,6 @@ from .core import (
     enumerate_monoids,
     enumerate_submonoids,
     endomorphism_monoid,
-    inverse_in,
     is_subgroup,
     units,
 )
@@ -71,6 +70,7 @@ from .semidirect import (
     SectionsReport,
     SemidirectProduct,
     SplitEpiReport,
+    _induced_cocycle,
     action_from_hom,
     conical_check,
     factorization_normality_equivalences,
@@ -174,11 +174,6 @@ def _actions(pairs: Iterable[Pair]) -> Iterator[tuple[str, MonoidAction]]:
             yield f"{name_b} acting on {name_a} #{k}", action_from_hom(phi, maps)
 
 
-def _action_population(pop: list[Named]) -> list[tuple[str, MonoidAction]]:
-    """All actions between population pairs within the battery limits."""
-    return list(_actions(_battery_pairs(pop)))
-
-
 def _equivalent_cocycles(M: FiniteMonoid, A: SubMonoid, q, q2) -> bool:
     table = M.table
     return any(
@@ -253,15 +248,12 @@ class _MonoidObjects:
         return tuple((S, r) for S in self.subs for r in _retractions(self.M, S))
 
     def split_report(self, S: SubMonoid, retraction: tuple[int, ...]) -> SplitEpiReport:
-        """The ``split_epi_analysis`` of the pair that ``retraction`` onto S splits."""
-
-        def analyse() -> SplitEpiReport:
-            target = S.as_monoid()
-            inclusion = ElementMap(target, self.M, S.members)
-            projection = ElementMap(self.M, target, tuple(map(S.position, retraction)))
-            return split_epi_analysis(self.M, target, projection, inclusion)
-
-        return self._once(("split", S, retraction), analyse)
+        """The ``split_epi_analysis`` of ``retraction`` onto S and S's inclusion."""
+        M = self.M
+        build = lambda: split_epi_analysis(
+            M, S, ElementMap(M, S, retraction), ElementMap(S, M, S.members)
+        )
+        return self._once(("split", S, retraction), build)
 
 
 def _retractions(M: FiniteMonoid, S: SubMonoid) -> list[tuple[int, ...]]:
@@ -637,9 +629,9 @@ def _three_way_correspondence(u: _MonoidObjects) -> str | None:
         if (fac.first, fac.to_first.values) not in [(L, q.values) for L, q in normal_cocycles]:
             return f"{fac} has no cocycle corner"
     for L, q in normal_cocycles:
-        kernel = cocycle_kernel(q)
-        dagger = tuple(M.table[inverse_in(L, q(m))][m] for m in M.elements())
-        if (kernel.members, dagger) not in split_pairs:
+        built = fac_from_subgroup_cocycle(M, L, q)  # second factor Ker q, retraction q†
+        kernel = built.second
+        if (kernel.members, built.to_second.values) not in split_pairs:
             return f"cocycle {q.values} has no split-epi corner"
         back = try_factorization(M, L, kernel)
         if back is None or back.to_first.values != q.values:
@@ -681,23 +673,14 @@ def _unit_z1_second_factors(ob: _ActionObjects) -> str | None:
         return f"graphs {sorted(images)} vs partners {sorted(partners)}"
     zero = (act.acted.identity,) * act.actor.size
     zero_image = dict(zip((chi.values for chi in unit_cocycles), images)).get(zero)
-    second = sd.second_image()
-    if zero_image != second.members:
+    if zero_image != sd.second_image().members:
         return "zero cocycle does not map to the canonical factor"
-    # the induced map on the product is a unit-valued left descent cocycle;
-    # it sends the pair (a, b), numbered a * |B| + b, to (a * chi0(b)^{-1}, e)
+    # a unit-valued cocycle induces a left descent cocycle on the product
     A_img = sd.first_image()
-    nb, e = act.actor.size, act.actor.identity
-    inverse = act.acted.inverses
-    inverted = [inverse[v] for v in unit_cocycles[0].values]
-    values = tuple(row[w] * nb + e for row in act.acted.table for w in inverted)
-    induced = ElementMap(sd.product, A_img, values)
+    induced = ElementMap(sd.product, A_img, _induced_cocycle(sd, unit_cocycles[0]))
     ok, violation = is_descent_cocycle(sd.product, A_img, induced, "left")
     if not ok:
         return f"induced map is not a descent cocycle ({violation})"
-    unit_imgs = units(A_img).member_set
-    if any(induced.values[x] not in unit_imgs for x in second.members):
-        return "induced map is not unit-valued on the second factor"
     return None
 
 

@@ -71,7 +71,7 @@ def _call_list():
     population = verify._population(3, True)
     small = [M for _, M in population]
     subs = [(M, core.enumerate_submonoids(M)) for M in small]
-    battery = [act for _, act in verify._action_population(population)]
+    battery = [act for _, act in verify._actions(verify._battery_pairs(population))]
     products = [semidirect.semidirect(act.acted, act, act.actor) for act in battery]
     labelled = [(core.enumerate_monoids(n), core.enumerate_monoids(n, True)) for n in (1, 2, 3)]
 

@@ -521,7 +521,7 @@ class TestTabulatedChecksMatchPointwise:
         assert self.assert_same(partners, acting, conj)[0] == ((0, 1, 2),)
 
     def test_battery_groupoids(self):
-        actions = verify._action_population(verify._population(3, True))
+        actions = list(verify._actions(verify._battery_pairs(verify._population(3, True))))
         assert len(actions) == 978
         for _, act in actions:
             sd = semidirect(act.acted, act, act.actor)
@@ -545,7 +545,7 @@ class TestClassMap:
 
     def test_sections_and_convolutions_of_the_order3_battery(self):
         pop = verify._population(3, False)
-        actions = verify._action_population(pop)
+        actions = list(verify._actions(verify._battery_pairs(pop)))
         for _, act in actions:
             report = sections(semidirect(act.acted, act, act.actor))
             classes = h1(act, cocycles=report.cocycles)

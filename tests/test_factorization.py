@@ -171,7 +171,7 @@ class TestFacOverMatchesSubsetScan:
         assert found.count(False) > 0 and found.count(True) > 0
 
     def test_battery_products(self):
-        actions = verify._action_population(verify._population(3, True))
+        actions = list(verify._actions(verify._battery_pairs(verify._population(3, True))))
         assert len(actions) == 978
         found = []
         for _, act in actions:

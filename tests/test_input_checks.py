@@ -103,6 +103,9 @@ CASES = [
          S3, C2, ElementMap(S3, C2, (0, 1, 0, 0, 0, 0)), ElementMap(C2, S3, (0, 1))
      ),
      NotASplitPair, "both maps must be monoid homomorphisms"),
+    ("split-foreign-submonoid",
+     lambda: split_epi_analysis(S3, OF_C2, zero_map(S3, OF_C2), ElementMap(OF_C2, S3, (0,))),
+     ParentMismatch, "the split submonoid belongs to a different monoid"),
     ("inner-not-hom",
      lambda: inner_action_and_convolution(C2, S3, ElementMap(C2, S3, (0, 4))),
      NotUnitValuedHom, "the defining map must be a homomorphism"),
@@ -134,4 +137,7 @@ def test_input_check_raises(call, error, message):
 
 @pytest.mark.parametrize("members", [(0,), (0, 1), (0, 4, 5), tuple(range(6))])
 def test_submonoid_member_set(members):
-    assert SubMonoid(S3, members).member_set == frozenset(members)
+    S = SubMonoid(S3, members)
+    assert S.member_set == frozenset(members)
+    assert tuple(S) == members
+    assert [x for x in S3.elements() if x in S] == list(members)

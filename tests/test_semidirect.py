@@ -120,7 +120,7 @@ class TestValidateAction:
 
 NAMED3 = verify._population(3, True)
 POPULATION3 = [M for _, M in NAMED3]
-BATTERY3 = [act for _, act in verify._action_population(NAMED3)]
+BATTERY3 = [act for _, act in verify._actions(verify._battery_pairs(NAMED3))]
 # actors whose identity is not 0, so that no scan may take the identity to come first
 ACTORS = POPULATION3 + [oracles.relabeled(M, random.Random(i)) for i, M in enumerate(POPULATION3)]
 
@@ -309,7 +309,7 @@ class TestZ1:
             assert [c.values for c in z1(act)] == sorted(oracles.z1_values(act))
 
     def test_matches_oracle_on_battery(self):
-        for desc, act in verify._action_population(verify._population(3, True)):
+        for desc, act in verify._actions(verify._battery_pairs(verify._population(3, True))):
             assert [c.values for c in z1(act)] == oracles.z1_values(act), desc
 
     def test_always_contains_zero(self):
@@ -362,7 +362,7 @@ class TestH1GivenCocycles:
     @pytest.fixture(scope="class")
     def actions(self):
         population = verify._population(3, True)
-        battery = [act for _, act in verify._action_population(population)]
+        battery = [act for _, act in verify._actions(verify._battery_pairs(population))]
         inner = []
         for _, A in population:
             for _, B in population:
@@ -433,7 +433,7 @@ class TestClassesMatchPairwiseScan:
         assert classes.base_class == base_class
 
     def test_h1_and_sections(self, population):
-        actions = verify._action_population(population)
+        actions = list(verify._actions(verify._battery_pairs(population)))
         assert len(actions) == 978  # the semidirect-construction count at order 3
         for _, act in actions:
             A, B = act.acted, act.actor
@@ -558,7 +558,7 @@ class TestSections:
             assert all(sd.proj_b(f(b)) == b for b in C2.elements())
 
     def test_match_fibre_scan_on_battery(self):
-        actions = verify._action_population(verify._population(3, True))
+        actions = list(verify._actions(verify._battery_pairs(verify._population(3, True))))
         assert len(actions) == 978
         for desc, act in actions:
             sd = semidirect(act.acted, act, act.actor)
@@ -598,6 +598,7 @@ class TestFacFromZ1:
         zero, non_unit = z1(act)
         built = Cocycle1(act, non_unit.underlying)
         assert built.unit_valued is False and built == non_unit
+        assert repr(built) == "Cocycle1((0, 1))"
         with pytest.raises(NotUnitValued):
             fac_from_z1(semidirect(B2, act, B2), built)
         with pytest.raises(ActionMismatch):

@@ -30,9 +30,10 @@ from monofact.descent import (
     cocycle_kernel,
     conjugate_second_factor,
     groupoid_components,
+    star_act,
 )
 from monofact.factorization import _columns, _rows, verify_bicross
-from monofact.semidirect import ConicalReport, SemidirectProduct, h1, z1
+from monofact.semidirect import ConicalReport, SemidirectProduct, h1, split_epi_analysis, z1
 from monofact.verify import verify_suite
 
 # verify_suite(n, catalog).lines() for n = 1..3, with and without the catalog
@@ -227,9 +228,10 @@ class TestActionBattery:
         """What the driver must print for a counterexample at the K-th unit of each kind."""
         pop = verify._population(2, False)
         name, M = pop[self.K - 1]
+        actions = list(verify._actions(verify._battery_pairs(pop)))
         return {
             "monoid": f"{name} table={[list(r) for r in M.table]}; planted",
-            "action": f"{verify._action_population(pop)[self.K - 1][0]}: planted",
+            "action": f"{actions[self.K - 1][0]}: planted",
             "inner": "order2#0->order1#0 kappa=(0, 0): planted",
         }
 
@@ -249,7 +251,7 @@ class TestActionBattery:
         assert {fn.__qualname__ for _, _, fn in verify._CHECKS} == {declared}
 
     def test_order_and_counts(self):
-        actions = verify._action_population(verify._population(2, False))
+        actions = list(verify._actions(verify._battery_pairs(verify._population(2, False))))
         results = verify_suite(2, catalog=False).checks
         battery = [r for r in results if r.check in self.BATTERY_IDS]
         assert tuple(r.check for r in battery) == self.BATTERY_IDS
@@ -317,7 +319,7 @@ class TestActionBattery:
         verify_suite(2, catalog=False)
         pop = verify._population(2, False)
         assert calls == {
-            "semidirect": len(verify._action_population(pop)),
+            "semidirect": len(list(verify._actions(verify._battery_pairs(pop)))),
             "_factorizations": len(pop),
             "enumerate_submonoids": len(pop),
         }
@@ -360,7 +362,10 @@ class TestRetractions:
         assert checks["three-way-correspondence"](u) == (1, None)
 
     def test_split_reports_match_the_translation_scan(self):
-        """Each retraction's report judges unique translation as the scan does."""
+        """Each retraction's report judges unique translation as the scan does.
+
+        The report, made on S itself, is the one on S as a monoid of its own.
+        """
         total = translating = 0
         for name, M in verify._population(4, True):
             u = verify._MonoidObjects(name, M)
@@ -370,6 +375,10 @@ class TestRetractions:
                 expected = oracles.unique_translation(M, retraction)
                 report = u.split_report(S, retraction)
                 assert report.condition_translation == expected, (name, retraction)
+                target = S.as_monoid()
+                p = ElementMap(M, target, tuple(map(S.position, retraction)))
+                s = ElementMap(target, M, S.members)
+                assert report == split_epi_analysis(M, target, p, s), (name, retraction)
                 assert u.split_report(S, retraction) is report
                 translating += expected
             total += len(pairs)
@@ -448,6 +457,15 @@ class TestPlantedFaults:
         report = verify_suite(2, catalog=False)
         assert_golden_except(report, "2 catalog=False", set(changed))
         assert {c: line for c, line in self.lines(report.checks).items() if c in changed} == changed
+
+    def assert_order3_lines(self, changed):
+        """``assert_order2_lines`` at order <= 3 plus the catalog, run in this process.
+
+        verify_suite may spawn workers there, which a monkeypatch does not reach.
+        """
+        results = verify._run_checks(verify._population(3, True))
+        assert_golden_except(types.SimpleNamespace(checks=results), "3 catalog=True", set(changed))
+        assert {r.check: r.line() for r in results if r.check in changed} == changed
 
     def test_split_factorization_without_the_group_test(self, monkeypatch):
         # split_epi_analysis judges the equivalence; both split checks read its raise
@@ -576,9 +594,7 @@ class TestPlantedFaults:
             "restricted-cohomology": "restricted-cohomology: FAIL (9 instances) -- "
             f"{fac}: class/component counts differ",
         }
-        results = verify._run_checks(verify._population(3, True))
-        assert_golden_except(types.SimpleNamespace(checks=results), "3 catalog=True", set(changed))
-        assert {r.check: r.line() for r in results if r.check in changed} == changed
+        self.assert_order3_lines(changed)
 
     def test_graph_that_ignores_its_cocycle(self, monkeypatch):
         monkeypatch.setattr(verify, "fac_from_z1", lambda sd, chi: sd.second_image())
@@ -716,10 +732,64 @@ class TestPlantedFaults:
             "three-way-correspondence": "three-way-correspondence: FAIL (10 instances) -- "
             f"{s3}; {fac} has no cocycle corner",
         }
-        results = verify._run_checks(verify._population(3, True))
-        assert_golden_except(types.SimpleNamespace(checks=results), "3 catalog=True", set(changed))
-        assert {r.check: r.line() for r in results if r.check in changed} == changed
+        self.assert_order3_lines(changed)
 
+    def test_component_map_of_a_conjugate_partner(self, monkeypatch):
+        # the first component map moved by a unit a0 of the first factor, m -> q(m*a0)*a0^{-1}:
+        # still a left cocycle (first-map-laws keeps its line), but the one of the conjugate
+        # partner a0*B*a0^{-1}; units of a commutative monoid fix every cocycle, so S3 shows it
+        real = verify.try_factorization
+
+        def moved(M, A, B):
+            fac = real(M, A, B)
+            a0 = next((u for u in units(A).members if u != M.identity), None)
+            if fac is None or a0 is None:
+                return fac
+            q = star_act(a0, DescentCocycle(fac.to_first, "left"))
+            return dataclasses.replace(fac, to_first=q.underlying)
+
+        monkeypatch.setattr(verify, "try_factorization", moved)
+        s3 = f"s3 table={[list(row) for row in CATALOG['s3'].table]}"
+        fac = "Factorization((0, 4, 5), (0, 1))"
+        q = "cocycle (0, 0, 4, 5, 4, 5)"
+        self.assert_order3_lines(
+            {
+                "component-kernels": f"component-kernels: FAIL (31 instances) -- {s3}; "
+                f"kernels wrong for {fac}",
+                "kernel-pair-characterization": "kernel-pair-characterization: FAIL "
+                f"(113 instances) -- {s3}; component maps of {fac} rejected",
+                "subgroup-first-factor": f"subgroup-first-factor: FAIL (24 instances) -- {s3}; "
+                f"{q} builds a wrong factorization",
+                "subgroup-cocycle-bijection": "subgroup-cocycle-bijection: FAIL (24 instances) "
+                f"-- {s3}; kernel round trip broke",
+                "unit-cocycle-bijection": f"unit-cocycle-bijection: FAIL (31 instances) -- {s3}; "
+                f"{fac}: base point not preserved",
+                "semidirect-equivalence": f"semidirect-equivalence: FAIL (31 instances) -- {s3}; "
+                "equivalent conditions disagree: hom=True, normal=True, semidirect=False",
+                "three-way-correspondence": "three-way-correspondence: FAIL (10 instances) -- "
+                f"{s3}; {q} round trip broke",
+            }
+        )
+
+    def test_subgroup_factorization_with_a_constant_retraction(self, monkeypatch):
+        # q† sends every m to e: c2's trivial subgroup, whose kernel is all of c2, shows it
+        # first; the three-way check reads q† from the same builder
+        real = verify.fac_from_subgroup_cocycle
+
+        def constant(M, L, q):
+            fac = real(M, L, q)
+            return dataclasses.replace(fac, to_second=zero_map(M, fac.second))
+
+        monkeypatch.setattr(verify, "fac_from_subgroup_cocycle", constant)
+        c2 = "c2 table=[[0, 1], [1, 0]]"
+        self.assert_order3_lines(
+            {
+                "subgroup-first-factor": f"subgroup-first-factor: FAIL (2 instances) -- {c2}; "
+                "cocycle (0, 0) builds a wrong factorization",
+                "three-way-correspondence": "three-way-correspondence: FAIL (2 instances) -- "
+                f"{c2}; cocycle (0, 0) has no split-epi corner",
+            }
+        )
 
 class TestSharedGroupoids:
     """Each group action is checked by ``groupoid_components``, built once per unit and factor."""
@@ -917,7 +987,7 @@ class TestPartnerClassMaps:
         assert len(maps) == 146  # groupoid-isomorphism's instances in the verify4 golden
 
     def test_graphs_of_the_order3_battery(self):
-        actions = verify._action_population(verify._population(3, True))
+        actions = list(verify._actions(verify._battery_pairs(verify._population(3, True))))
         assert len(actions) == 978
         for desc, act in actions:
             ob = verify._ActionObjects(desc, act)
