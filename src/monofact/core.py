@@ -190,6 +190,8 @@ class FiniteMonoid(_Carrier):
         """The monoid on the carrier's positions ``0..k-1``, here the monoid itself."""
         return self
 
+    _position_table = property(lambda self: self.table)  # its positions are its elements
+
     @cached_property
     def signature(self) -> tuple[tuple[bool, bool, int, int, int, int], ...]:
         """Per-element isomorphism invariants, indexed by element.
@@ -311,16 +313,18 @@ class SubMonoid(_Carrier):
             pass
         raise IndexOutOfRange(f"{x!r} is not a member of {self}")
 
+    @property
+    def _position_table(self) -> tuple[tuple[int, ...], ...]:
+        """The product on positions ``0..k-1``, the table of ``as_monoid()`` unbuilt."""
+        pos, table, members = self.positions, self.parent.table, self.members
+        return tuple(tuple(pos[table[x][y]] for y in members) for x in members)
+
     def as_monoid(self) -> FiniteMonoid:
         """The induced monoid on this subset, reindexed to ``0..k-1``."""
-        pos = self.positions
-        table = tuple(
-            tuple(pos[self.parent.table[x][y]] for y in self.members) for x in self.members
-        )
         labels = None
         if self.parent.labels is not None:
             labels = tuple(self.parent.labels[x] for x in self.members)
-        return FiniteMonoid(table, pos[self.parent.identity], labels)
+        return FiniteMonoid(self._position_table, self.positions[self.parent.identity], labels)
 
     def __repr__(self) -> str:
         return f"SubMonoid({self.members})"
@@ -362,7 +366,7 @@ class ElementMap:
     def is_homomorphism(self) -> bool:
         if self(self.domain.parent.identity) != self.codomain.parent.identity:
             return False
-        prod = self.domain.as_monoid().table
+        prod = self.domain._position_table
         return _hom_witness(self.values, prod, self.codomain.parent.table) is None
 
     def __repr__(self) -> str:

@@ -8,15 +8,16 @@ wherever the library offers two ways to compute the same thing.
 
 A check is declared in ``_CHECKS`` by its id, the kind of unit it runs on
 and a function from one unit to that unit's ``Outcome``, made by ``_each``
-from the unit's instances and a test of one.  ``_run_checks``
-cuts each kind's units into contiguous shards, runs every check over each
-shard (in worker processes when the work pays for them) and merges the
-shards in population order into the counts, stops and failures one walk
-over all units would give.
+from the unit's instances and a test of one.  ``_run_checks`` cuts each
+kind's distinct items (monoids or battery pairs) into contiguous shards, runs
+every check over each shard (in worker processes when the work pays for them)
+and merges the tallies in population order, each item taking its content's,
+into the counts, stops and failures one walk over all units would give.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 from dataclasses import dataclass
@@ -163,9 +164,9 @@ def _battery_pairs(pop: list[Named]) -> Iterator[Pair]:
                 yield name_a, A, name_b, B
 
 
-def _actions(pairs: Iterable[Pair]) -> Iterator[tuple[str, MonoidAction]]:
-    """All actions of each battery pair, in order."""
-    endos: dict[FiniteMonoid, tuple] = {}
+def _actions(pairs: Iterable[Pair], endos=None) -> Iterator[tuple[str, MonoidAction]]:
+    """All actions of each battery pair, in order; ``endos`` keeps each End(A) across calls."""
+    endos = {} if endos is None else endos
     for name_a, A, name_b, B in pairs:
         if A not in endos:
             endos[A] = endomorphism_monoid(A)
@@ -752,71 +753,87 @@ _CHECKS: tuple[tuple[str, str, Callable[..., Outcome]], ...] = (
 )
 
 
-# units of each kind, built from a slice of its items: population monoids,
-# or battery pairs for the actions and the inner homs
-_UNITS: dict[str, Callable[[tuple], Iterable]] = {
-    "monoid": lambda pop: (_MonoidObjects(name, M) for name, M in pop),
-    "action": lambda pairs: (_ActionObjects(desc, act) for desc, act in _actions(pairs)),
-    "inner": _inner_homs,
+# the units of one item of each kind: a population monoid, or a battery pair
+# for the actions and the inner homs; ``cache`` is shared by a shard's items
+_UNITS: dict[str, Callable[[tuple, dict], Iterable]] = {
+    "monoid": lambda item, cache: (_MonoidObjects(*item),),
+    "action": lambda pair, cache: itertools.starmap(_ActionObjects, _actions((pair,), cache)),
+    "inner": lambda pair, cache: _inner_homs((pair,)),
 }
 
-# Battery pairs (the battery and the inner homs, ~90% of the work, grow with
-# them) that pay for one worker process's start-up.  On a 2-CPU host two
-# spawned workers lose to the in-process run at 100 pairs (order 3, 0.40 vs
-# 0.23 s), tie at 147 (order 2 + catalog, 0.48 s) and win at 364 (order 3 +
-# catalog, 0.80 vs 1.08 s), so break-even is about 75 pairs per worker.
+# Distinct battery pairs (the battery and the inner homs, ~90% of the work, grow
+# with them) that pay for one worker process's start-up.  On a 2-CPU host two
+# spawned workers lose to the in-process run at 100 pairs (order 3, 0.23 vs
+# 0.13 s), tie at 166 (order 3 + catalog, 0.34 vs 0.31 s) and win at 800
+# (order 4, 1.76 vs 2.75 s), so break-even is about 85 pairs per worker.
 # Below two workers' worth, verify runs in-process.
 _PAIRS_PER_WORKER = 100
 # shards per worker, so one that finishes early takes another and the last
 # shard to finish is short
 _SHARDS_PER_WORKER = 16
 
-Shard = tuple[str, tuple]  # a unit kind and a contiguous slice of its items
-Tally = Outcome  # instances, counterexample (with its unit's description) or None
+Shard = tuple[str, tuple]  # a unit kind and a contiguous slice of its distinct items
+Tally = tuple  # an item's instances and counterexample or None per check of its kind, flat
+
+
+def _kinds(pop: list[Named]) -> list[tuple[str, Iterable]]:
+    """Each unit kind and an iterator over its named items in population order."""
+    return [("monoid", pop), ("action", _battery_pairs(pop)), ("inner", _battery_pairs(pop))]
 
 
 def _shards(pop: list[Named], count: int) -> list[Shard]:
-    """Each kind's items cut into ``count`` contiguous slices (no empty ones), in order."""
-    pairs = list(_battery_pairs(pop))
+    """Each kind's distinct items in order, cut into ``count`` contiguous slices, none empty."""
     out = []
-    for kind, items in (("monoid", pop), ("action", pairs), ("inner", pairs)):
+    for kind, items in _kinds(pop):
+        firsts: dict = {}
+        for item in items:  # the first of each content: the monoid, or (acted, actor)
+            firsts.setdefault(item[1::2], item)
+        items = list(firsts.values())
         bounds = [len(items) * k // count for k in range(count + 1)]
         out.extend((kind, tuple(items[lo:hi])) for lo, hi in zip(bounds, bounds[1:]) if lo < hi)
     return out
 
 
-def _run_shard(shard: Shard) -> dict[str, Tally]:
-    """Every check of the shard's kind over its units, each stopping at its first failure."""
+def _run_shard(shard: Shard) -> list[Tally]:
+    """Per item, every check of the shard's kind over its units, each to its first failure."""
     kind, items = shard
     checks = [(check_id, check) for check_id, k, check in _CHECKS if k == kind]
-    tallies: dict[str, Tally] = {check_id: (0, None) for check_id, _ in checks}
-    for unit in _UNITS[kind](items):
-        running = [(i, check) for i, check in checks if tallies[i][1] is None]
-        if not running:
-            break
-        for check_id, check in running:
-            try:
-                instances, counterexample = check(unit)
-            except StopIteration as exc:  # the builtin map would end as if out of shards
-                raise RuntimeError(f"{check_id} raised StopIteration") from exc
-            if counterexample is not None:
-                counterexample = unit.describe(counterexample)
-            tallies[check_id] = (tallies[check_id][0] + instances, counterexample)
+    tallies, alike, cache, running = [], {}, {}, list(enumerate(checks))
+    for item in items:
+        tally = [0, None] * len(checks)
+        for unit in _UNITS[kind](item, cache) if running else ():
+            for j, (check_id, check) in running:
+                try:
+                    instances, counterexample = check(unit)
+                except StopIteration as exc:  # the builtin map would end as if out of shards
+                    raise RuntimeError(f"{check_id} raised StopIteration") from exc
+                if counterexample is not None:
+                    counterexample = unit.describe(counterexample)
+                tally[2 * j] += instances
+                tally[2 * j + 1] = counterexample
+            running = [(j, c) for j, c in running if tally[2 * j + 1] is None]
+        tally = tuple(tally)  # equal tallies share one object, pickled and kept once
+        tallies.append(alike.setdefault(tally, tally))
     return tallies
 
 
-def _merge(tallies: Iterable[dict[str, Tally]]) -> list[CheckResult]:
-    """One result per check of ``_CHECKS``, from shard tallies in population order.
+def _merge(pop: list[Named], tallies: Iterable[list[Tally]]) -> list[CheckResult]:
+    """One result per check of ``_CHECKS``, each named item taking its content's tally.
 
-    A check's count sums its shards up to the first with a counterexample,
-    which it keeps; later shards are ignored.
+    A check's count sums the items in population order up to the first with a
+    counterexample, which it keeps: its content's first item, which it names.
     """
+    flat = itertools.chain.from_iterable(tallies)  # each content's tally, first come first
     merged: dict[str, Outcome] = {check_id: (0, None) for check_id, _, _ in _CHECKS}
-    for tally in tallies:
-        for check_id, (instances, counterexample) in tally.items():
-            count, stop = merged[check_id]
-            if stop is None:
-                merged[check_id] = (count + instances, counterexample)
+    for kind, items in _kinds(pop):
+        ids = [check_id for check_id, k, _ in _CHECKS if k == kind]
+        tally_of = collections.defaultdict(flat.__next__)  # by content
+        for item in items:
+            tally = tally_of[item[1::2]]
+            for check_id, instances, counterexample in zip(ids, tally[::2], tally[1::2]):
+                count, stop = merged[check_id]
+                if stop is None:
+                    merged[check_id] = (count + instances, counterexample)
     return [
         CheckResult(check_id, instances, counterexample is None, counterexample)
         for check_id, (instances, counterexample) in merged.items()
@@ -829,7 +846,7 @@ def _run_checks(pop: list[Named], shards: int = 1, mapper=map) -> list[CheckResu
     ``mapper`` runs ``_run_shard`` over the shards and yields their tallies
     in order: the builtin ``map`` in-process, or a process pool's ``map``.
     """
-    return _merge(mapper(_run_shard, _shards(pop, shards)))
+    return _merge(pop, mapper(_run_shard, _shards(pop, shards)))
 
 
 def _worker_count(pop: list[Named]) -> int:
@@ -838,7 +855,7 @@ def _worker_count(pop: list[Named]) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         cpus = os.cpu_count() or 1
-    pairs = sum(1 for _ in _battery_pairs(pop))
+    pairs = len({pair[1::2] for pair in _battery_pairs(pop)})  # the distinct ones
     return min(cpus, pairs // _PAIRS_PER_WORKER)
 
 

@@ -16,6 +16,10 @@ driver ``verify._run_checks`` three times over the same population:
    unit's build and its checks; an action that starts a new pair also
    carries the pair's hom search).
 
+It also reports the units of each kind that the population names and
+those the driver judges: a monoid or battery pair that the population
+repeats (a catalog monoid equal to a generated class) is judged once.
+
 Run with
 
     PYTHONPATH=src python tests/bench_battery.py
@@ -70,17 +74,16 @@ def timed_run(pop) -> dict:
 
         return run
 
-    def timed_units(pairs):
-        found = verify._actions(pairs)
+    def timed_units(pair, cache):
+        found = iter(units["action"](pair, cache))
         while True:
             start = time.perf_counter()
-            item = next(found, None)
-            if item is None:
+            unit = next(found, None)
+            if unit is None:
                 return
-            desc, act = item
-            yield verify._ActionObjects(desc, act)
+            yield unit
             # resumed once every check has read this unit
-            key = f"{act.acted.size}x{act.actor.size}"
+            key = f"{unit.act.acted.size}x{unit.act.actor.size}"
             action_s[key] += time.perf_counter() - start
             actions[key] += 1
 
@@ -101,6 +104,20 @@ def timed_run(pop) -> dict:
             for key in sorted(actions, key=lambda k: tuple(map(int, k.split("x"))))
         },
     }
+
+
+def unit_counts(pop) -> dict:
+    """Units per kind: named in the population, and judged (each content once)."""
+    judged = dict(verify._shards(pop, 1))  # one shard per kind: its distinct items
+    out = {}
+    for kind, items in verify._kinds(pop):
+        cache = {}
+        units = {item[1::2]: sum(1 for _ in verify._UNITS[kind](item, cache)) for item in judged[kind]}
+        out[kind] = {
+            "named": sum(units[item[1::2]] for item in items),
+            "judged": sum(units.values()),
+        }
+    return out
 
 
 def counted_run(pop) -> dict:
@@ -150,6 +167,7 @@ def main() -> None:
         "python": platform.python_version(),
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "wall_s": round(wall, 3),
+        "units": unit_counts(pop),
         **timed_run(pop),
         **counts,
     }

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from monofact import verify
 from monofact.core import (
     ElementMap,
     FiniteMonoid,
@@ -537,3 +538,34 @@ def class_map_is_bijection(source_class_of, target_class_of, image, target_count
         if induced.setdefault(c_class, t_class) != t_class:
             return False
     return len(set(induced.values())) == len(induced) == target_count
+
+
+def verify_walk(pop) -> list:
+    """``verify``'s check results by one walk over every named unit, repeats judged again.
+
+    Each kind's units come in population order (the monoids, then every
+    battery pair's actions, then its inner homs), and each check stops at
+    its first counterexample, which carries the unit's description.  It
+    shares verify's units and checks and stands in for its driver only.
+    """
+    pairs = list(verify._battery_pairs(pop))
+    walks = {
+        "monoid": itertools.starmap(verify._MonoidObjects, pop),
+        "action": itertools.starmap(verify._ActionObjects, verify._actions(pairs)),
+        "inner": verify._inner_homs(pairs),
+    }
+    tallies = {check_id: (0, None) for check_id, _, _ in verify._CHECKS}
+    for kind, walk in walks.items():
+        checks = [(check_id, check) for check_id, k, check in verify._CHECKS if k == kind]
+        for unit in walk:
+            for check_id, check in checks:
+                count, stop = tallies[check_id]
+                if stop is None:
+                    instances, counterexample = check(unit)
+                    if counterexample is not None:
+                        counterexample = unit.describe(counterexample)
+                    tallies[check_id] = (count + instances, counterexample)
+    return [
+        verify.CheckResult(check_id, count, stop is None, stop)
+        for check_id, (count, stop) in tallies.items()
+    ]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from monofact import verify
 from monofact.catalog import CATALOG, catalog_monoid
 from monofact.core import (
     ElementMap,
@@ -19,6 +20,7 @@ from monofact.core import (
     SizeBoundExceeded,
     SubMonoid,
     _associativity_witness,
+    _hom_witness,
     compose,
     direct_product,
     endomorphism_monoid,
@@ -581,6 +583,25 @@ class TestElementMap:
                     assert ok == oracles.is_homomorphism_pointwise(f)
                     verdicts.add((ok, type(f.domain), type(f.codomain)))
         assert len(verdicts) == 6  # both verdicts on each pair of carrier kinds
+
+    def test_submonoid_domain_reads_the_induced_table(self, monkeypatch):
+        # each submonoid of the verify population, its inclusion and seeded maps into M:
+        # the verdict of the route through the induced monoid, without building it
+        rng = random.Random(7)
+        cases = []
+        for _, M in verify._population(4, True):
+            for S in enumerate_submonoids(M):
+                induced = S.as_monoid().table
+                assert S._position_table == induced
+                seeded = [tuple(rng.choice(M.members) for _ in S) for _ in range(3)]
+                for values in [S.members, *seeded]:
+                    f = ElementMap(S, M, values)
+                    law = _hom_witness(values, induced, M.table) is None
+                    cases.append((f, f(M.identity) == M.identity and law))
+        monkeypatch.setattr(SubMonoid, "as_monoid", lambda S: pytest.fail("built a monoid"))
+        verdicts = [f.is_homomorphism() for f, _ in cases]
+        assert verdicts == [expected for _, expected in cases]
+        assert set(verdicts) == {True, False} and len(cases) == 4 * 286
 
     def test_compose(self):
         sign = ElementMap(S3, C2, (0, 1, 1, 1, 0, 0))

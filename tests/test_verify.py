@@ -58,6 +58,21 @@ def result_of(report, check_id):
     return next(c for c in report.checks if c.check == check_id)
 
 
+def shard_tally(kind, items):
+    """Per check of ``kind``, (instances, counterexample) of ``_run_shard`` over ``items``.
+
+    Every item is judged, repeats too, and the tallies are summed as one walk would.
+    """
+    ids = [check_id for check_id, k, _ in verify._CHECKS if k == kind]
+    merged = dict.fromkeys(ids, (0, None))
+    for tally in verify._run_shard((kind, tuple(items))):
+        for check_id, instances, counterexample in zip(ids, tally[::2], tally[1::2]):
+            count, stop = merged[check_id]
+            if stop is None:
+                merged[check_id] = (count + instances, counterexample)
+    return merged
+
+
 def assert_golden_except(report, key, changed):
     """Every line of ``report`` outside the ``changed`` checks equals the golden."""
     golden = GOLDEN_REPORTS[key]
@@ -466,6 +481,22 @@ class TestPlantedFaults:
         results = verify._run_checks(verify._population(3, True))
         assert_golden_except(types.SimpleNamespace(checks=results), "3 catalog=True", set(changed))
         assert {r.check: r.line() for r in results if r.check in changed} == changed
+
+    def test_characterization_without_the_right_component_map(self, monkeypatch):
+        # in c2z = {e, g, z} (g² = e, z absorbing), ({e, z}, {e, g}) covers the monoid
+        # (z·e = z·g) and has a left component map, but no right one
+        def left_conjuncts(M, A, B):
+            covers = factorization.set_product_is_all(M, A, B)
+            return covers and factorization.exists_left_component_map(M, A, B)
+
+        monkeypatch.setattr(verify, "characterize_factorization", left_conjuncts)
+        self.assert_order3_lines(
+            {
+                "factorization-characterization": "factorization-characterization: FAIL "
+                "(53 instances) -- c2z table=[[0, 1, 2], [1, 0, 2], [2, 2, 2]]; "
+                "pair ((0, 2),(0, 1)): inversion False, characterization True"
+            }
+        )
 
     def test_split_factorization_without_the_group_test(self, monkeypatch):
         # split_epi_analysis judges the equivalence; both split checks read its raise
@@ -884,7 +915,7 @@ class TestSharedGroupoids:
 
         monkeypatch.setattr(verify, "groupoid_components", counting)
         pop = verify._population(3, True)
-        tally = verify._run_shard(("monoid", tuple(pop)))
+        tally = shard_tally("monoid", pop)
         assert all(stop is None for _, stop in tally.values())
         units = [verify._MonoidObjects(name, M) for name, M in pop]
         with_cocycles = sum(1 for u in units for A in u.subs if u.cocycles(A))
@@ -1010,7 +1041,7 @@ class TestPartnerClassMaps:
         monkeypatch.setattr(verify, name, action)
         pop = verify._population(3, True)
         verdicts = [self.oracle(*args) for args in self.kernel_maps(pop)]
-        tally = verify._run_shard(("monoid", tuple(pop)))
+        tally = shard_tally("monoid", pop)
         instances, counterexample = tally["groupoid-isomorphism"]
         assert instances == verdicts.index(False) + 1
         assert counterexample.endswith(": kernel map is not a bijection of classes")
@@ -1027,7 +1058,7 @@ class TestPartnerClassMaps:
             singletons = groupoid_components(ob.partners, acting, lambda a0, B: B)
             if not self.oracle(classes, ob.graphs, singletons):
                 break
-        tally = verify._run_shard(("action", pairs))
+        tally = shard_tally("action", pairs)
         assert tally["h1-component-count"] == (
             instances,
             f"{desc}: graph map is not a bijection of classes",
@@ -1035,7 +1066,7 @@ class TestPartnerClassMaps:
 
 
 class TestBuildCounts:
-    """Unit groups and semidirect images are built no more often than needed."""
+    """Unit groups, semidirect products and their images are built no more often than needed."""
 
     def test_order3_battery_and_inner_homs(self, monkeypatch):
         # each SubMonoid build is booked to the builder whose call it happens in
@@ -1044,7 +1075,7 @@ class TestBuildCounts:
             SemidirectProduct.first_image.__code__: "first_image",
             SemidirectProduct.second_image.__code__: "second_image",
         }
-        builds = dict.fromkeys(builders.values(), 0)
+        builds = dict.fromkeys([*builders.values(), "semidirect"], 0)
         post_init = core.SubMonoid.__post_init__
 
         def counting_post_init(sub):
@@ -1055,18 +1086,31 @@ class TestBuildCounts:
                 builds[builders[frame.f_code]] += 1
             post_init(sub)
 
+        def counting_semidirect(*args):
+            builds["semidirect"] += 1
+            return real_semidirect(*args)
+
+        real_semidirect = verify.semidirect
+        monkeypatch.setattr(verify, "semidirect", counting_semidirect)
         monkeypatch.setattr(core.SubMonoid, "__post_init__", counting_post_init)
         # count from cold caches, whichever tests have read the catalog's unit groups
         for M in CATALOG.values():
             monkeypatch.delitem(M.__dict__, "_units", raising=False)
-        pairs = tuple(verify._battery_pairs(verify._population(3, True)))
-        actions = sum(1 for _ in verify._actions(pairs))
-        for kind in ("action", "inner"):
-            tally = verify._run_shard((kind, pairs))
-            assert all(stop is None for _, stop in tally.values())
-        # one unit group per monoid, one image of each factor per action's product
-        assert actions == 978
-        assert builds == {"units": 999, "first_image": actions, "second_image": actions}
+        pop = verify._population(3, True)
+        assert all(result.passed for result in verify._run_checks(pop))
+        # the driver judges the actions of each (acted, actor) content once
+        firsts = {}
+        for name_a, A, name_b, B in verify._battery_pairs(pop):
+            firsts.setdefault((A, B), (name_a, A, name_b, B))
+        actions = sum(1 for _ in verify._actions(firsts.values()))
+        assert actions == 523  # of the 978 that the named pairs list
+        # one semidirect product and one image of each factor per judged action
+        assert builds == {
+            "units": 592,
+            "semidirect": actions,
+            "first_image": actions,
+            "second_image": actions,
+        }
 
 
 class TestUnitCocycles:
@@ -1089,9 +1133,10 @@ class TestRelabelingInvariance:
     """Checks read no index as the identity: relabeling every monoid changes no tally."""
 
     def assert_same_tallies(self, kind, items, moved):
-        tally = verify._run_shard((kind, tuple(items)))
-        assert all(stop is None for _, stop in tally.values())
-        assert verify._run_shard((kind, tuple(moved))) == tally
+        tallies = verify._run_shard((kind, tuple(items)))
+        assert all(stop is None for tally in tallies for stop in tally[1::2])
+        assert len(set(map(id, tallies))) == len(set(tallies))  # equal tallies are one object
+        assert verify._run_shard((kind, tuple(moved))) == tallies
 
     def test_monoid_kind(self):
         pop = verify._population(4, True)
@@ -1133,7 +1178,7 @@ class TestShardedDriver:
         """
         kind, real = next((k, fn) for i, k, fn in verify._CHECKS if i == target)
         items = pop if kind == "monoid" else list(verify._battery_pairs(pop))
-        units = list(verify._UNITS[kind](items))
+        units = [unit for item in items for unit in verify._UNITS[kind](item, {})]
         half = len(units) // 2
         at = (units[half].describe("planted"), units[-1].describe("planted"))
 
@@ -1152,14 +1197,21 @@ class TestShardedDriver:
 
     def test_shards_cut_each_kind_in_order(self):
         pop = verify._population(2, True)
-        pairs = tuple(verify._battery_pairs(pop))
+        pairs = list(verify._battery_pairs(pop))
         shards = verify._shards(pop, 5)
         assert [kind for kind, _ in shards] == ["monoid"] * 5 + ["action"] * 5 + ["inner"] * 5
-        for kind, items in (("monoid", tuple(pop)), ("action", pairs), ("inner", pairs)):
+        judged = []
+        for kind, items in (("monoid", pop), ("action", pairs), ("inner", pairs)):
+            # the first item of each content, in population order
+            contents = [item[1::2] for item in items]
+            firsts = tuple(item for i, item in enumerate(items) if contents.index(item[1::2]) == i)
             parts = [part for k, part in shards if k == kind]
-            assert all(parts) and sum(parts, ()) == items
+            assert all(parts) and sum(parts, ()) == firsts
+            judged.append((len(items), len(firsts)))
+        # trivial, c2 and b2 repeat order1#0, order2#0 and order2#1
+        assert judged == [(14, 11), (147, 78), (147, 78)]
         # more shards than items: one item each, none empty
-        assert [len(part) for k, part in verify._shards(pop, 1000) if k == "monoid"] == [1] * 14
+        assert [len(part) for k, part in verify._shards(pop, 1000) if k == "monoid"] == [1] * 11
 
     @pytest.mark.parametrize("target", PLANTED)
     @pytest.mark.parametrize("shards", [2, 1000])
@@ -1219,9 +1271,85 @@ class TestShardedDriver:
         assert multiprocessing.active_children() == []
 
     def test_worker_count(self, monkeypatch):
-        small, order4 = verify._population(2, True), verify._population(4, True)
+        pops = [verify._population(n, True) for n in (2, 3, 4)]
         monkeypatch.setattr(verify.os, "sched_getaffinity", lambda _: {0, 1, 2, 3}, raising=False)
-        # 147 battery pairs pay for one worker; 1,484 for more than there are CPUs
-        assert (verify._worker_count(small), verify._worker_count(order4)) == (1, 4)
+        # judged battery pairs count: 78 of the 147 at order 2 + catalog pay for no
+        # worker, 166 of 364 at order 3 for one, 826 of 1,484 at order 4 for more
+        # than there are CPUs
+        assert [verify._worker_count(pop) for pop in pops] == [0, 1, 4]
         monkeypatch.setattr(verify.os, "sched_getaffinity", lambda _: {0})
-        assert verify._worker_count(order4) == 1
+        assert verify._worker_count(pops[2]) == 1
+
+
+def content_faulty_checks():
+    """``verify._CHECKS`` with one planted fault per unit kind, keyed by content.
+
+    Each fault fails every unit of one content that the population repeats:
+    lz21 (also order3#3), c2 acting on c3 (order2#0 on order3#6) and the
+    homs c2 -> c2z (order2#0 -> order3#0).
+    """
+    c2, c3, c2z, lz21 = (CATALOG[name] for name in ("c2", "c3", "c2z", "lz21"))
+    keys = {
+        "component-kernels": lambda u: u.M == lz21,
+        "sections-bijection": lambda ob: (ob.act.actor, ob.act.acted) == (c2, c3),
+        "inner-convolution": lambda hom: (hom.B, hom.A) == (c2, c2z),
+    }
+
+    def faulty(key, real):
+        return lambda unit: (1, "planted") if key(unit) else real(unit)
+
+    return tuple(
+        (i, kind, faulty(keys[i], fn) if i in keys else fn) for i, kind, fn in verify._CHECKS
+    )
+
+
+def plant_content_faults():
+    """Process pool initializer: plant ``content_faulty_checks`` in a worker."""
+    verify._CHECKS = content_faulty_checks()
+
+
+class TestReferenceWalk:
+    """Judging each content once reports what one walk over every named unit reports."""
+
+    KEY = "3 catalog=True"
+    # a walk that judges every named unit prints these lines
+    FAULT_LINES = {
+        "component-kernels": "component-kernels: FAIL (20 instances) -- "
+        "lz21 table=[[0, 1, 2], [1, 1, 1], [2, 2, 2]]; planted",
+        "sections-bijection": "sections-bijection: FAIL (52 instances) -- "
+        "c2 acting on c3 #0: planted",
+        "inner-convolution": "inner-convolution: FAIL (115 instances) -- "
+        "c2->c2z kappa=(0, 0): planted",
+    }
+
+    def test_unpatched(self):
+        pop = verify._population(3, True)
+        walk = oracles.verify_walk(pop)
+        assert [r.line() for r in walk] == GOLDEN_REPORTS[self.KEY][1:-1]
+        for shards in (1, 1000):
+            assert verify._run_checks(pop, shards) == walk
+
+    def assert_fault_lines(self, results):
+        faulty = set(self.FAULT_LINES)
+        assert_golden_except(types.SimpleNamespace(checks=results), self.KEY, faulty)
+        assert {r.check: r.line() for r in results if r.check in faulty} == self.FAULT_LINES
+
+    def test_content_faults(self, monkeypatch):
+        monkeypatch.setattr(verify, "_CHECKS", content_faulty_checks())
+        pop = verify._population(3, True)
+        walk = oracles.verify_walk(pop)
+        self.assert_fault_lines(walk)
+        for shards in (1, 1000):
+            assert verify._run_checks(pop, shards) == walk
+
+    def test_content_faults_in_spawned_workers(self):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # only the workers are patched: the parent merges what they judged
+        context = multiprocessing.get_context("spawn")
+        pop = verify._population(3, True)
+        with ProcessPoolExecutor(2, context, initializer=plant_content_faults) as pool:
+            results = verify._run_checks(pop, 32, pool.map)
+        self.assert_fault_lines(results)
+        assert multiprocessing.active_children() == []
