@@ -586,7 +586,7 @@ def enumerate_homs(B: _Carrier, A: _Carrier) -> list[ElementMap]:
         raise SizeBoundExceeded(f"homomorphism search capped at domain size {_HOM_DOMAIN_LIMIT}")
     cod = A.members
     k = len(dom)
-    prod_pos = B.as_monoid().table
+    prod_pos = B._position_table
     cod_tab = A.parent.table
     pinned = [(B.positions[B.parent.identity], A.parent.identity)]
     candidates = [list(cod)] * k

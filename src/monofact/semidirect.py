@@ -321,10 +321,9 @@ def sections(sd: SemidirectProduct) -> SectionsReport:
     fibers = [[a * nb + b for a in A.elements()] for b in range(nb)]
     ptab = product.table
     pinned = [(B.identity, product.identity)]
-    candidates = [sorted(f) for f in fibers]
     allowed = [frozenset(f) for f in fibers]
     sweep = product_rule(B.table, ptab, [tuple(product.elements())] * nb)
-    found = search_assignments(nb, pinned, candidates, allowed, sweep)
+    found = search_assignments(nb, pinned, fibers, allowed, sweep)
     secs = tuple(ElementMap(B, product, values) for values in found)
 
     cocycles = tuple(z1(act, unit_valued=False))
@@ -432,39 +431,34 @@ def factorization_normality_equivalences(fac: Factorization) -> NormalityReport:
     cond_hom = fac.to_second.is_homomorphism()
     cond_normal = normality_check(M, A, B, "left")
 
-    action = None
-    product = None
-    iso = None
-    cond_semidirect = False
     A_mon, B_mon = A.as_monoid(), B.as_monoid()
     a_pos = A.positions
     star = tuple(
         tuple(a_pos[fac.to_first(M.table[b][a])] for a in A.members) for b in B.members
     )
     try:
-        candidate = MonoidAction(B_mon, A_mon, star)
+        action = MonoidAction(B_mon, A_mon, star)
     except AxiomViolation:
-        candidate = None
-    if candidate is not None:
-        sd = semidirect(A_mon, candidate, B_mon)
+        iso = None
+    else:
+        sd = semidirect(A_mon, action, B_mon)
         # the canonical comparison sends the pair (a, b) to a*b in M
         values = tuple(
             M.table[A.members[i]][B.members[j]] for i, j in map(sd.parts, sd.product.members)
         )
         forward = ElementMap(sd.product, M, values)
-        if forward.is_homomorphism():
-            inverse = tuple(sorted(sd.product.members, key=values.__getitem__))
-            iso = MonoidIso(forward, ElementMap(M, sd.product, inverse))
-            action = candidate
-            product = sd
-            cond_semidirect = True
+        inverse = tuple(sorted(sd.product.members, key=values.__getitem__))
+        hom = forward.is_homomorphism()
+        iso = MonoidIso(forward, ElementMap(M, sd.product, inverse)) if hom else None
 
-    if not (cond_hom == cond_normal == cond_semidirect):
+    if not (cond_hom == cond_normal == (iso is not None)):
         raise InternalInconsistency(
             f"equivalent conditions disagree: hom={cond_hom}, "
-            f"normal={cond_normal}, semidirect={cond_semidirect}"
+            f"normal={cond_normal}, semidirect={iso is not None}"
         )
-    return NormalityReport(cond_normal, action, product, iso)
+    if iso is None:
+        return NormalityReport(False, None, None, None)
+    return NormalityReport(True, action, sd, iso)
 
 
 @dataclass(frozen=True)
@@ -500,26 +494,19 @@ def split_epi_analysis(
         raise NotASplitPair("both maps must be monoid homomorphisms")
     if any(p(s(b)) != b for b in B.members):
         raise NotASplitPair("p is not a retraction of s")
-    e = B.parent.identity
-    kernel = SubMonoid(M, tuple(m for m in M.elements() if p(m) == e))
+    fibres: dict[int, list[int]] = {}  # m's fibre p^{-1}(p(m)), ascending
+    for m, v in enumerate(p.values):
+        fibres.setdefault(v, []).append(m)
+    kernel = SubMonoid(M, tuple(fibres[B.parent.identity]))
     image = SubMonoid(M, tuple(sorted(set(s.values))))
     kernel_group = is_subgroup(M, kernel)
     fac = try_factorization(M, kernel, image) if kernel_group else None
     cond_i = kernel_group and fac is not None
-
+    # K*m lies in m's fibre; it is that fibre, each element once, iff translates are unique
     table = M.table
-    cond_ii = True
-    for m1 in M.elements():
-        for m2 in M.elements():
-            if p(m1) != p(m2):
-                continue
-            translates = [k for k in kernel.members if table[k][m1] == m2]
-            if len(translates) != 1:
-                cond_ii = False
-                break
-        if not cond_ii:
-            break
-
+    cond_ii = all(
+        sorted(table[k][m] for k in kernel.members) == fibres[v] for m, v in enumerate(p.values)
+    )
     if cond_i != cond_ii:
         raise InternalInconsistency(
             f"split-pair conditions disagree: factorization={cond_i}, translation={cond_ii}"
@@ -531,12 +518,8 @@ def split_epi_analysis(
         # cocycle -> retraction onto the image -> same factorization
         q = DescentCocycle(fac.to_first, "left")
         q_dagger = fac_from_subgroup_cocycle(M, kernel, q).to_second
-        if not (
-            q_dagger.values == fac.to_second.values
-            and all(q_dagger(x) == x for x in image.members)
-            and tuple(m for m in M.elements() if q_dagger(m) == M.identity)
-            == kernel.members
-            and all(p(q_dagger(m)) == p(m) for m in M.elements())
+        if q_dagger.values != fac.to_second.values or any(
+            q_dagger(x) != x for x in image.members
         ):
             raise InternalInconsistency("factorization/split-epi round trip failed")
     return SplitEpiReport(kernel, image, kernel_group, cond_ii, fac)
@@ -597,10 +580,8 @@ def inner_action_and_convolution(
         inv = inverse[a0]
         return tuple(atab[atab[a0][v]][inv] for v in keys[i])
 
-    kappa_pos = hom_index.get(kappa.values)
-    if kappa_pos is None:
-        raise InternalInconsistency("the defining homomorphism is not in Hom(B, A)")
-    hom_classes = _orbit_classes(homs, keys, units(A).members, conjugate, kappa_pos)
+    # h1 required the zero cocycle, and it convolves to kappa itself
+    hom_classes = _orbit_classes(homs, keys, units(A).members, conjugate, hom_index[kappa_values])
     induced_ok = _carries(cocycle_classes, hom_classes, convolution_of)
     return ConvolutionReport(
         act,

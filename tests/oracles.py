@@ -16,8 +16,11 @@ from monofact.core import (
     MonoidIso,
     NotInvertible,
     SubMonoid,
+    is_subgroup,
     units,
 )
+from monofact.factorization import try_factorization
+from monofact.semidirect import SplitEpiReport
 
 
 def associativity_witness_by_scan(table) -> tuple[int, int, int] | None:
@@ -528,6 +531,33 @@ def unique_translation(M: FiniteMonoid, retraction: tuple[int, ...]) -> bool:
         for m2 in M.elements()
         if retraction[m1] == retraction[m2]
     )
+
+
+def split_epi_report(M: FiniteMonoid, B, p: ElementMap, s: ElementMap) -> SplitEpiReport:
+    """``split_epi_analysis``'s report, with unique translation tested pair by pair.
+
+    The kernel is scanned off p, and for each m1, m2 with p(m1) = p(m2) the
+    kernel is searched for the translates k with k*m1 = m2; the pair loop
+    stops at the first pair without exactly one.  No law is judged here.
+    """
+    e = B.parent.identity
+    kernel = SubMonoid(M, tuple(m for m in M.elements() if p(m) == e))
+    image = SubMonoid(M, tuple(sorted(set(s.values))))
+    kernel_group = is_subgroup(M, kernel)
+    fac = try_factorization(M, kernel, image) if kernel_group else None
+    table = M.table
+    translation = True
+    for m1 in M.elements():
+        for m2 in M.elements():
+            if p(m1) != p(m2):
+                continue
+            translates = [k for k in kernel.members if table[k][m1] == m2]
+            if len(translates) != 1:
+                translation = False
+                break
+        if not translation:
+            break
+    return SplitEpiReport(kernel, image, kernel_group, translation, fac)
 
 
 def class_map_is_bijection(source_class_of, target_class_of, image, target_count: int) -> bool:

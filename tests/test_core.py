@@ -376,6 +376,20 @@ class TestEnumerateHoms:
         for h in enumerate_homs(CATALOG["v4"], S3):
             assert h.is_homomorphism()
 
+    def test_submonoid_domain_reads_the_induced_table(self, monkeypatch):
+        # every submonoid S of the order <= 3 + catalog population, into M and into S:
+        # the homs of the old route through S's induced monoid, without building it
+        cases = []
+        for _, M in verify._population(3, True):
+            for S in enumerate_submonoids(M):
+                for A in (M, S):
+                    expected = [h.values for h in enumerate_homs(S.as_monoid(), A)]
+                    cases.append((S, A, expected))
+        monkeypatch.setattr(FiniteMonoid, "__post_init__", lambda M: pytest.fail("built a monoid"))
+        for S, A, expected in cases:
+            assert [h.values for h in enumerate_homs(S, A)] == expected, (S, A)
+        assert len(cases) == 2 * 69
+
     def test_domain_bound(self):
         big = direct_product(S3, C2)
         with pytest.raises(SizeBoundExceeded):

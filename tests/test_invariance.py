@@ -26,6 +26,7 @@ from monofact.core import (
     opposite,
 )
 from monofact.descent import enumerate_descent_cocycles, is_descent_cocycle
+from monofact.semidirect import split_epi_analysis
 from monofact.factorization import (
     characterize_factorization,
     enumerate_factorizations,
@@ -188,3 +189,13 @@ class TestRelabelingTransport:
             for side in SIDES:
                 verdict = is_descent_cocycle(M, A, q, side)[0]
                 assert is_descent_cocycle(R, A_moved, q_moved, side)[0] == verdict
+
+    @RELABELED
+    @given(relabelings())
+    def test_split_reports(self, drawn):
+        # R's identity is not 0: p's fibres and the kernel are read off R's own labels
+        _, _, R = drawn
+        for S in enumerate_submonoids(R):
+            for retraction in verify._retractions(R, S):
+                p, s = ElementMap(R, S, retraction), ElementMap(S, R, S.members)
+                assert split_epi_analysis(R, S, p, s) == oracles.split_epi_report(R, S, p, s)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import itertools
@@ -379,7 +380,8 @@ class TestRetractions:
     def test_split_reports_match_the_translation_scan(self):
         """Each retraction's report judges unique translation as the scan does.
 
-        The report, made on S itself, is the one on S as a monoid of its own.
+        The report, made on S itself, is the one on S as a monoid of its own,
+        and the one that the pair loop of ``oracles.split_epi_report`` gives.
         """
         total = translating = 0
         for name, M in verify._population(4, True):
@@ -394,6 +396,7 @@ class TestRetractions:
                 p = ElementMap(M, target, tuple(map(S.position, retraction)))
                 s = ElementMap(target, M, S.members)
                 assert report == split_epi_analysis(M, target, p, s), (name, retraction)
+                assert report == oracles.split_epi_report(M, target, p, s), (name, retraction)
                 assert u.split_report(S, retraction) is report
                 translating += expected
             total += len(pairs)
@@ -739,6 +742,22 @@ class TestPlantedFaults:
                 "(('R2', (1, 2)))"
             }
         )
+        # past order 2 the monoids themselves are not commutative: both component maps'
+        # laws and the unit action fail first on s3 and lz21
+        s3 = f"s3 table={[list(row) for row in CATALOG['s3'].table]}"
+        self.assert_order3_lines(
+            {
+                "first-map-laws": f"first-map-laws: FAIL (31 instances) -- {s3}; "
+                "Factorization((0, 4, 5), (0, 1)) violates ('R2', (1, 4))",
+                "second-map-laws": f"second-map-laws: FAIL (27 instances) -- {s3}; "
+                "Factorization((0, 1), (0, 4, 5)) violates ('L2', (4, 1))",
+                "unit-star-action": "unit-star-action: FAIL (19 instances) -- "
+                "lz21 table=[[0, 1, 2], [1, 1, 1], [2, 2, 2]]; "
+                "cocycle (0, 1, 0) violates ('R2', (2, 1))",
+                "unit-z1-second-factors": "unit-z1-second-factors: FAIL (25 instances) -- "
+                "c2z acting on c2 #0: induced map is not a descent cocycle (('R2', (2, 3)))",
+            }
+        )
 
     def test_cocycles_of_the_other_side(self, monkeypatch):
         # rows read for columns: each monoid's left cocycles are its right ones, labelled
@@ -821,6 +840,135 @@ class TestPlantedFaults:
                 f"{c2}; cocycle (0, 0) has no split-epi corner",
             }
         )
+
+    def test_subgroup_test_misreading_inverses(self, monkeypatch):
+        # each member taken for its own inverse: c3's order-3 elements are not, so c3 is
+        # no subgroup of itself, which the zero cocycle into {e} shows as its kernel
+        def involutions(M, S):
+            return all(M.table[x][x] == M.identity for x in S.members)
+
+        monkeypatch.setattr(verify, "is_subgroup", involutions)
+        c3 = "c3 table=[[0, 1, 2], [1, 2, 0], [2, 0, 1]]"
+        # the subgroup-led checks pass on the involution subgroups left
+        self.assert_order3_lines(
+            {
+                "cocycle-kernel-submonoid": "cocycle-kernel-submonoid: FAIL (4 instances) -- "
+                f"{c3}; kernel SubMonoid((0, 1, 2)) not a subgroup",
+                "subgroup-first-factor": "subgroup-first-factor: PASS (37 instances)",
+                "subgroup-cocycle-bijection": "subgroup-cocycle-bijection: PASS (37 instances)",
+                "group-factor-normality": "group-factor-normality: PASS (37 instances)",
+                "three-way-correspondence": "three-way-correspondence: FAIL (3 instances) -- "
+                f"{c3}; corner sizes 1, 1, 2",
+            }
+        )
+
+    def test_induced_cocycle_moving_its_last_identity_value(self, monkeypatch):
+        # the identity value moved to the front: a kernel of one pair, as under the
+        # trivial actor, is left as it is; c2 acting on c2 has two
+        real = self.SEMIDIRECT._induced_cocycle
+
+        def moved(sd, chi):
+            values = list(real(sd, chi))
+            last = max(x for x, v in enumerate(values) if v == sd.product.identity)
+            values.insert(0, values.pop(last))
+            return tuple(values)
+
+        monkeypatch.setattr(self.SEMIDIRECT, "_induced_cocycle", moved)
+        reason = "c2 acting on c2 #0: graph and induced-kernel routes disagree"
+        self.assert_order3_lines(
+            {
+                check: f"{check}: FAIL (21 instances) -- {reason}"
+                for check in ("unit-z1-second-factors", "h1-component-count")
+            }
+        )
+
+    def test_split_factorization_of_a_conjugate_partner(self, monkeypatch):
+        # a group first factor A paired with B gets the maps of A and a0*B*a0^{-1}, a0 the
+        # first unit of A that moves B: q† is then that partner's retraction, which agrees
+        # with the factorization's second map but moves B; S3 first has such a partner
+        real = self.SEMIDIRECT.try_factorization
+
+        def conjugated(M, A, B):
+            fac = real(M, A, B)
+            if fac is None or not core.is_subgroup(M, A):
+                return fac
+            moved = (conjugate_second_factor(a0, B) for a0 in units(A).members)
+            other = real(M, A, next((C for C in moved if C != B), B))
+            return dataclasses.replace(fac, to_first=other.to_first, to_second=other.to_second)
+
+        monkeypatch.setattr(self.SEMIDIRECT, "try_factorization", conjugated)
+        s3 = f"s3 table={[list(row) for row in CATALOG['s3'].table]}"
+        reason = f"{s3}; factorization/split-epi round trip failed"
+        self.assert_order3_lines(
+            {
+                "split-epi-translation": f"split-epi-translation: FAIL (30 instances) -- {reason}",
+                "three-way-correspondence": "three-way-correspondence: FAIL (10 instances) -- "
+                f"{reason}",
+            }
+        )
+
+    def test_hom_search_dropping_its_last_hom(self, monkeypatch):
+        # a lone hom is kept; c2 -> c2 loses the identity, which the trivial action's
+        # cocycle of the same values convolves to
+        real = self.SEMIDIRECT.enumerate_homs
+
+        def short(B, A):
+            homs = real(B, A)
+            return homs[:-1] if len(homs) > 1 else homs
+
+        monkeypatch.setattr(self.SEMIDIRECT, "enumerate_homs", short)
+        reason = "c2->c2 kappa=(0, 0): convolution left the homomorphism set"
+        self.assert_order3_lines(
+            {
+                check: f"{check}: FAIL (21 instances) -- {reason}"
+                for check in ("inner-convolution", "inner-convolution-classes")
+            }
+        )
+
+
+class TestPlantedFaultCoverage:
+    """Every ``raise InternalInconsistency`` in semidirect.py runs under a planted fault.
+
+    The faults are those that ``TestPlantedFaults`` plants in the module itself, each
+    run again under ``sys.settrace``, which records the lines run in the module's frames.
+    """
+
+    def test_every_semidirect_raise_is_reached(self):
+        path = TestPlantedFaults.SEMIDIRECT.__file__
+        raises = {
+            node.lineno
+            for node in ast.walk(ast.parse(Path(path).read_text()))
+            if isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "InternalInconsistency"
+        }
+        reached = set()
+
+        def record(frame, event, arg):
+            if event == "line":
+                reached.add(frame.f_lineno)
+            return record
+
+        def enter(frame, event, arg):  # trace the module's own frames only
+            return record if frame.f_code.co_filename == path else None
+
+        faults = TestPlantedFaults()
+        planted = [
+            fault
+            for name, fault in vars(TestPlantedFaults).items()
+            if name.startswith("test_") and "SEMIDIRECT" in fault.__code__.co_names
+        ]
+        assert planted
+        previous = sys.gettrace()
+        for fault in planted:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                sys.settrace(enter)
+                try:
+                    fault(faults, monkeypatch)
+                finally:
+                    sys.settrace(previous)
+        assert raises and raises - reached == set()
+
 
 class TestSharedGroupoids:
     """Each group action is checked by ``groupoid_components``, built once per unit and factor."""
@@ -1279,6 +1427,15 @@ class TestShardedDriver:
         assert [verify._worker_count(pop) for pop in pops] == [0, 1, 4]
         monkeypatch.setattr(verify.os, "sched_getaffinity", lambda _: {0})
         assert verify._worker_count(pops[2]) == 1
+
+    def test_worker_count_without_affinity_masks(self, monkeypatch):
+        # platforms without sched_getaffinity count every CPU, one if that is unknown
+        pop = verify._population(4, True)
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        assert verify._worker_count(pop) == 4
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        assert verify._worker_count(pop) == 1
 
 
 def content_faulty_checks():
