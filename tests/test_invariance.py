@@ -26,7 +26,6 @@ from monofact.core import (
     opposite,
 )
 from monofact.descent import enumerate_descent_cocycles, is_descent_cocycle
-from monofact.semidirect import split_epi_analysis
 from monofact.factorization import (
     characterize_factorization,
     enumerate_factorizations,
@@ -35,6 +34,7 @@ from monofact.factorization import (
     first_factor_filter,
     second_factor_filter,
 )
+from monofact.semidirect import split_epi_analysis
 
 POPULATION = verify._population(4, True)
 SIDES = ("left", "right")
